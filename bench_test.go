@@ -491,18 +491,18 @@ func BenchmarkClassifyScratch(b *testing.B) {
 }
 
 // BenchmarkClassifyInstrumented replays the incremental chain with a
-// metrics registry attached, which also arms the per-classification
-// latency clock — the full per-transaction observability cost. The
+// metrics registry attached, which also arms the stage timers of every
+// classification — the full per-transaction observability cost. The
 // acceptance bar for the obs layer is ns/op within 5% of
 // BenchmarkClassifyIncremental (`benchjson -gate` pins it in CI).
 func BenchmarkClassifyInstrumented(b *testing.B) {
 	benchClassifyChain(b, detector.Config{RedirectThreshold: 3, Metrics: obs.NewRegistry()})
 }
 
-// BenchmarkClassifyTraced replays the incremental chain with the full
-// PR-10 tracing layer armed on top of the metrics registry: span trees
-// recorded per transaction, every 64th committed to the ring, stage
-// EWMAs fed on each span close. The controlled pair for the tracing
+// BenchmarkClassifyTraced replays the incremental chain with the
+// tracing layer armed on top of the metrics registry: span trees
+// recorded per transaction on the stage timers' clock readings, every
+// 64th committed to the ring. The controlled pair for the tracing
 // layer is BenchmarkClassifyInstrumented — identical config minus the
 // Tracer — and the acceptance bar is ns/op within 5% of it
 // (ClassifyTraced/ClassifyInstrumented <= 1.05 via `benchjson -gate`),

@@ -359,14 +359,10 @@ func runStream(args []string) error {
 	cfg := dynaminer.MonitorConfig{RedirectThreshold: *threshold}
 	if *traceSample > 0 {
 		// The tracer and engine must share a registry, so create it here
-		// (the engine only auto-creates one when none is supplied). Attach
-		// the capture layers before the pcap is read so reassembly and
-		// parse timing land in the stage histograms.
+		// (the engine only auto-creates one when none is supplied).
 		reg := dynaminer.NewMetricsRegistry()
 		cfg.Metrics = reg
 		cfg.Tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})
-		dynaminer.SetCaptureTracer(cfg.Tracer)
-		defer dynaminer.SetCaptureTracer(nil)
 	}
 	txs, err := dynaminer.ReadPCAPFile(fs.Arg(0))
 	if err != nil {

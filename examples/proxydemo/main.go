@@ -107,8 +107,8 @@ func main() {
 	detCfg := dynaminer.MonitorConfig{RedirectThreshold: 3}
 	var tracer *dynaminer.Tracer
 	if *traceSample > 0 {
-		// Tracer and engine must share a registry so the stage histograms
-		// land next to the detector counters on /metrics.
+		// Tracer and engine share a registry so the span-timed stages and
+		// the trace counters land next to the detector metrics on /metrics.
 		reg := dynaminer.NewMetricsRegistry()
 		detCfg.Metrics = reg
 		tracer = dynaminer.NewTracer(reg, dynaminer.TraceConfig{Sample: *traceSample})

@@ -29,6 +29,11 @@ import (
 // is flagged — Stage is get-or-create, so a duplicate literal means two
 // call sites silently share one latency histogram and EWMA.
 //
+// The dynaminer_stage_ metric namespace is derived from stage names, so a
+// literal X.Histogram("dynaminer_stage_...") registration is flagged too:
+// a hand-registered family there is a second timer for a stage, which
+// Registry.Stage refuses at runtime.
+//
 // The analyzer is syntactic: it inspects calls X.Counter(name, help),
 // X.Gauge(name, help), X.Histogram(name, help, buckets),
 // X.GaugeVec(name, help, label) and X.Stage(name) whose name argument is
@@ -53,6 +58,10 @@ var registerArity = map[string]int{
 	"Histogram": 3, // name, help, bounds
 	"GaugeVec":  3, // name, help, label
 }
+
+// stagePrefix opens the metric names Registry.Stage derives from dotted
+// stage names.
+const stagePrefix = "dynaminer_stage_"
 
 // metricSuffixes are the unit suffixes the inventory admits.
 var metricSuffixes = []string{"_seconds", "_bytes", "_total"}
@@ -158,6 +167,11 @@ func (m Metricname) Run(pass *Pass) []Finding {
 					name, pass.Fset.Position(first)))
 			} else {
 				seen[name] = call.Args[0].Pos()
+			}
+			if sel.Sel.Name == "Histogram" && strings.HasPrefix(name, stagePrefix) {
+				out = append(out, pass.finding(m.Name(), call.Args[0].Pos(),
+					"histogram %q is in the %s namespace derived from stage names; register the stage with Stage(name) so it keeps one timer",
+					name, stagePrefix))
 			}
 			if sel.Sel.Name == "GaugeVec" {
 				if label, ok := stringLit(call.Args[2]); ok && !snakeCase(label) {

@@ -27,6 +27,10 @@ func duplicates(reg registry) {
 	reg.Counter("dynaminer_alerts_total", "copy-paste slip") // want "already registered"
 }
 
+func stageNamespace(reg registry) {
+	reg.Histogram("dynaminer_stage_ml_score_seconds", "second timer", nil) // want "derived from stage names"
+}
+
 func badLabel(reg registry) {
 	reg.GaugeVec("dynaminer_breaker_state_total", "ok name",
 		"Host-Name") // want "not snake_case"

@@ -92,14 +92,17 @@ type Config struct {
 	// Zero means unlimited.
 	MaxWatched int
 	// Now supplies time for the classify-latency measurement; nil selects
-	// time.Now. Only consulted when MaxClassifyLatency or Metrics is set,
-	// so replays with both knobs off never observe the wall clock.
+	// time.Now. Only consulted when MaxClassifyLatency, Metrics or Tracer
+	// is set, so replays with all three off never observe the wall clock.
 	Now func() time.Time
 	// Metrics selects the observability registry the engine's counters,
-	// the watched gauge and the classify/score latency histograms are
-	// registered on (shards of one ShardedEngine share it). nil keeps a
-	// private registry: the Stats view still works, nothing is exported,
-	// and no timing instrumentation (clock reads) is enabled.
+	// the watched gauge and the pipeline stage histograms
+	// (dynaminer_stage_<stage>_seconds for detector.classify,
+	// features.incremental, features.rebuild and ml.score, each observed
+	// on every classification) are registered on; shards of one
+	// ShardedEngine share it. nil keeps a private registry: the Stats view
+	// still works, nothing is exported, and no timing instrumentation
+	// (clock reads) is enabled.
 	Metrics *obs.Registry
 	// Journal, when set, receives one provenance record per alert: the
 	// arming clue, the WCG shape, the exact feature vector and score the
@@ -108,10 +111,12 @@ type Config struct {
 	Journal *obs.Journal
 	// Tracer, when set, records one span tree per transaction —
 	// detector.process → detector.classify → features.incremental or
-	// features.rebuild → ml.score → journal.write — with shard,
+	// features.rebuild → ml.score, then journal.write — with shard,
 	// quarantine and degraded attribution on the spans, sampled and
 	// promoted per the tracer's config. Shards of a ShardedEngine share
-	// it. nil disables tracing entirely (the hot path pays one nil
+	// it. The spans reuse the engine's stage clock readings, and the
+	// detector.process and journal.write stages join the Metrics
+	// registry. nil disables tracing entirely (the hot path pays one nil
 	// check).
 	Tracer *obs.Tracer
 }
@@ -376,8 +381,8 @@ type Engine struct {
 	// now and classifyEWMA drive overload detection: an exponentially
 	// weighted average of classify wall time, compared against
 	// Config.MaxClassifyLatency. timed enables the clock reads: set when
-	// either MaxClassifyLatency (degradation) or Metrics (latency
-	// histograms) asks for them.
+	// MaxClassifyLatency (degradation), Metrics (stage histograms) or
+	// Tracer (spans) asks for them.
 	now          func() time.Time
 	timed        bool
 	classifyEWMA time.Duration
@@ -391,9 +396,10 @@ type Engine struct {
 	// shedding while a checkpointed cluster's transactions are replayed
 	// through the structural pipeline (see restoreCluster).
 	restoring bool
-	// tracer and stg drive pipeline tracing; at/atRoot carry the current
-	// transaction's trace through the call tree (the engine is
-	// serialized, so a field is safe and keeps every signature intact).
+	// stg holds the stage timers; tracer drives pipeline tracing;
+	// at/atRoot carry the current transaction's trace through the call
+	// tree (the engine is serialized, so a field is safe and keeps every
+	// signature intact).
 	// at is nil when tracing is off — every span call is nil-receiver
 	// safe, so untraced engines pay one predictable branch.
 	tracer *obs.Tracer
@@ -437,10 +443,8 @@ func New(cfg Config, model Scorer) *Engine {
 		now:      now,
 		timed:    cfg.MaxClassifyLatency > 0 || cfg.Metrics != nil || cfg.Tracer != nil,
 		tracer:   cfg.Tracer,
+		stg:      newEngineStages(mx.reg, cfg.Tracer != nil),
 		atRoot:   -1,
-	}
-	if cfg.Tracer != nil {
-		e.stg = newEngineStages(cfg.Tracer)
 	}
 	return e
 }
@@ -810,20 +814,15 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		return nil // extraction-only mode (training-set construction)
 	}
 	at := e.at
-	// A traced engine is always timed, so every classify span boundary
-	// reuses a latency-metric clock reading — tracing adds stamps to
-	// reads the instrumented path was already taking, not new reads. The
-	// classify span is ended explicitly at each return (no defer): a
-	// panic unwinds past it, and the root span's pop-through close
-	// finalizes it at the end-to-end instant.
-	var start time.Time
-	var cs int
-	if e.timed {
-		start = e.now()
-		cs = at.StartSpanAt(e.stg.classify, start)
-	} else {
-		cs = at.StartSpan(e.stg.classify)
-	}
+	// Each stage boundary costs at most one clock read, taken only when
+	// something consumes it (the stage histograms, the degradation EWMA or
+	// a trace): the reading ends one stage, starts the next and is handed
+	// to the spans, which only record. The classify span ends with the
+	// measurement; a panic unwinds past it, and the root span's
+	// pop-through close finalizes it.
+	timed := e.timed || at != nil
+	start := e.clock(timed)
+	cs := at.StartSpanAt(e.stg.classify, start)
 	if c.faults > 0 {
 		at.Annotate(cs, obs.SpanQuarantined)
 	}
@@ -833,29 +832,28 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 	var x []float64
 	var g *wcg.WCG // nil on the incremental path until an alert needs it
 	incremental := false
-	fs := -1 // the feature span, left open for scoreVector to close at its t0
+	feat, featStart := e.stg.featRebuild, start
+	fs := -1
 	if e.incrementalEligible(c) {
-		// The features.incremental span records only genuine attempts: a
+		// The features.incremental stage records only genuine attempts: a
 		// cluster pinned to the rebuild path never opens it, so a trace's
 		// stage set reflects the path actually taken. A mid-feed fallback
-		// (out-of-order arrival) leaves the attempt flagged SpanError next
-		// to the rebuild span that served the verdict. The attempt begins
-		// at the same instant the classify measurement does (only flag
-		// annotations separate them), so the stamp is shared.
+		// (out-of-order arrival) ends the attempt flagged SpanError where
+		// the rebuild that served the verdict begins.
 		fs = at.StartSpanAt(e.stg.featInc, start)
 		v, ok := e.incrementalVector(c)
 		if ok {
-			x, incremental = v, true
+			x, incremental, feat = v, true, e.stg.featInc
 		} else {
 			at.Annotate(fs, obs.SpanError)
-			at.EndSpan(fs)
-			fs = -1
+			featStart = e.clock(timed)
+			e.endStage(e.stg.featInc, fs, start, featStart, timed)
 		}
 	}
 	if incremental {
 		at.Annotate(cs, obs.SpanIncremental)
 	} else {
-		fs = at.StartSpan(e.stg.featRebuild)
+		fs = at.StartSpanAt(e.stg.featRebuild, featStart)
 		e.subset = e.subset[:0]
 		for _, i := range c.watch {
 			e.subset = append(e.subset, c.txs[i])
@@ -867,22 +865,15 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		e.mx.rebuilds.Inc()
 		at.Annotate(cs, obs.SpanRebuild)
 	}
-	score := e.scoreVector(ref.scorer, x, fs)
+	scoreStart := e.clock(timed)
+	e.endStage(feat, fs, featStart, scoreStart, timed)
+	score, end := e.scoreVector(ref.scorer, x, scoreStart, timed)
 	e.mx.classifications.Inc()
-	var endT time.Time
-	if e.timed {
-		endT = e.now()
-		elapsed := endT.Sub(start)
-		if e.cfg.MaxClassifyLatency > 0 {
-			// EWMA with alpha 1/8: smooth enough to ride out one slow WCG,
-			// fast enough to catch sustained overload within a few updates.
-			e.classifyEWMA += (elapsed - e.classifyEWMA) / 8
-		}
-		if incremental {
-			e.mx.classifyIncremental.Observe(elapsed.Seconds())
-		} else {
-			e.mx.classifyRebuild.Observe(elapsed.Seconds())
-		}
+	e.endStage(e.stg.classify, cs, start, end, timed)
+	if e.cfg.MaxClassifyLatency > 0 {
+		// EWMA with alpha 1/8: smooth enough to ride out one slow WCG,
+		// fast enough to catch sustained overload within a few updates.
+		e.classifyEWMA += (end.Sub(start) - e.classifyEWMA) / 8
 	}
 	// A scorer emitting a non-finite probability is as broken as one
 	// that panics: NaN compares false with every threshold and would
@@ -892,11 +883,9 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		panic("detector: scorer returned a non-finite probability")
 	}
 	if score <= e.cfg.ScoreThreshold {
-		at.EndSpanAt(cs, endT)
 		return nil
 	}
 	if c.alerted && !meta.download {
-		at.EndSpanAt(cs, endT)
 		return nil
 	}
 	c.alerted = true
@@ -934,31 +923,38 @@ func (e *Engine) classify(c *cluster, idx int, meta txMeta) []Alert {
 		WCG:            g,
 	}
 	e.journalAlert(c, ref, &alert, x, incremental)
-	at.EndSpan(cs)
 	return []Alert{alert}
 }
 
-// scoreVector runs the watch's pinned model, timing the ensemble's share
-// of classify wall time when the engine is timed. prev is the still-open
-// feature-extraction span (-1 when none): its end and the score span's
-// start share one clock reading, as do the score span's end and the
-// score latency metric.
-func (e *Engine) scoreVector(model Scorer, x []float64, prev int) float64 {
-	if !e.timed {
-		e.at.EndSpan(prev)
-		ss := e.at.StartSpan(e.stg.score)
-		score := model.Score(x)
-		e.at.EndSpan(ss)
-		return score
-	}
-	t0 := e.now()
-	e.at.EndSpanAt(prev, t0)
+// scoreVector runs the watch's pinned model as the ml.score stage,
+// starting at the reading t0 that ended feature extraction. It returns
+// the score and the reading that ends both scoring and the whole
+// classification (the zero time when untimed).
+func (e *Engine) scoreVector(model Scorer, x []float64, t0 time.Time, timed bool) (float64, time.Time) {
 	ss := e.at.StartSpanAt(e.stg.score, t0)
 	score := model.Score(x)
-	end := e.now()
-	e.at.EndSpanAt(ss, end)
-	e.mx.score.Observe(end.Sub(t0).Seconds())
-	return score
+	end := e.clock(timed)
+	e.endStage(e.stg.score, ss, t0, end, timed)
+	return score, end
+}
+
+// clock reads the engine clock when timed, and otherwise returns the
+// zero time without touching it.
+func (e *Engine) clock(timed bool) time.Time {
+	if !timed {
+		return time.Time{}
+	}
+	return e.now()
+}
+
+// endStage closes a stage's span at end and, when timed, observes the
+// stage with the same two readings — span first, so slow promotion
+// compares the execution against the stage average before it.
+func (e *Engine) endStage(s *obs.Stage, span int, begin, end time.Time, timed bool) {
+	e.at.EndSpanAt(span, end)
+	if timed {
+		s.Observe(end.Sub(begin).Seconds())
+	}
 }
 
 // journalAlert appends the alert's provenance record: the arming clue,

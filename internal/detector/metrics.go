@@ -7,9 +7,9 @@ import "dynaminer/internal/obs"
 // family: the shards of a ShardedEngine each write their own cell with
 // no cache-line contention, each shard's Stats() view reads back exactly
 // its own increments, and the registry's Counter.Value sums all shards
-// for the /metrics total. The latency histograms and the watched gauge
-// are shared across shards (they are concurrency-safe and have no
-// per-shard view).
+// for the /metrics total. The watched gauge is shared across shards (it
+// is concurrency-safe and has no per-shard view); so are the stage
+// latency histograms (engineStages).
 type engineMetrics struct {
 	reg *obs.Registry
 
@@ -30,14 +30,6 @@ type engineMetrics struct {
 	// watched tracks potential-infection WCGs currently under watch; it
 	// moves at clue firings, watch closes, shedding and eviction.
 	watched *obs.Gauge
-
-	// Classify wall time split by path: the incremental hot path vs the
-	// from-scratch rebuild fallback. Observed only when the engine is
-	// timed (Config.Metrics or Config.MaxClassifyLatency set).
-	classifyIncremental *obs.Histogram
-	classifyRebuild     *obs.Histogram
-	// score is the ERF ensemble's share of classify time.
-	score *obs.Histogram
 }
 
 // newEngineMetrics registers (or re-binds to) the detector metric
@@ -68,34 +60,33 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		shed:            cell("dynaminer_detector_shed_total", "Watches closed early to hold the MaxWatched ceiling."),
 		watched: reg.Gauge("dynaminer_detector_watched_total",
 			"Potential-infection WCGs currently under watch."),
-		classifyIncremental: reg.Histogram("dynaminer_detector_classify_incremental_seconds",
-			"Classify wall time on the incremental path.", obs.LatencyBuckets),
-		classifyRebuild: reg.Histogram("dynaminer_detector_classify_rebuild_seconds",
-			"Classify wall time on the from-scratch rebuild path.", obs.LatencyBuckets),
-		score: reg.Histogram("dynaminer_ml_score_seconds",
-			"ERF ensemble scoring time per classification.", obs.LatencyBuckets),
 	}
 }
 
-// engineStages holds the interned trace stage IDs for the detector's
-// span tree. Interning happens once at engine construction so StartSpan
-// on the hot path is an array write, never a map lookup.
+// engineStages holds the detector's pipeline stages, resolved once at
+// engine construction on the engine's registry. The engine times
+// classify, feature extraction and scoring itself whenever it reads a
+// clock, traced or not. detector.process and journal.write are timed by
+// their spans alone, so they exist only on a traced engine.
 type engineStages struct {
-	process     obs.StageID
-	classify    obs.StageID
-	featInc     obs.StageID
-	featRebuild obs.StageID
-	score       obs.StageID
-	journal     obs.StageID
+	process     *obs.Stage
+	classify    *obs.Stage
+	featInc     *obs.Stage
+	featRebuild *obs.Stage
+	score       *obs.Stage
+	journal     *obs.Stage
 }
 
-func newEngineStages(t *obs.Tracer) engineStages {
-	return engineStages{
-		process:     t.Stage("detector.process"),
-		classify:    t.Stage("detector.classify"),
-		featInc:     t.Stage("features.incremental"),
-		featRebuild: t.Stage("features.rebuild"),
-		score:       t.Stage("ml.score"),
-		journal:     t.Stage("journal.write"),
+func newEngineStages(reg *obs.Registry, traced bool) engineStages {
+	s := engineStages{
+		classify:    reg.Stage("detector.classify"),
+		featInc:     reg.Stage("features.incremental"),
+		featRebuild: reg.Stage("features.rebuild"),
+		score:       reg.Stage("ml.score"),
 	}
+	if traced {
+		s.process = reg.Stage("detector.process")
+		s.journal = reg.Stage("journal.write")
+	}
+	return s
 }

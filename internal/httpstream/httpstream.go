@@ -383,11 +383,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		}
 		out = append(out, tx) //dynalint:ignore hotalloc capacity for every request is ensured by the grow block above
 	}
-	elapsed := parseClock().Sub(start).Seconds()
-	parseSeconds.Observe(elapsed)
-	if tb := parseTrace.Load(); tb != nil {
-		tb.t.ObserveStage(tb.stage, elapsed)
-	}
+	parseStage.Observe(parseClock().Sub(start).Seconds())
 	parseBytes.Add(payloadBytes)
 	parseTransactions.Add(int64(len(reqs)))
 	return out

@@ -146,12 +146,12 @@ var LatencyBuckets = []float64{
 
 // Histogram is a fixed-bucket histogram. The bucket layout is resolved at
 // registration; Observe performs a short bounded scan plus atomic adds
-// and allocates nothing.
+// and allocates nothing. There is no separate total: the count is the
+// bucket sum, so any one pass over the buckets is self-consistent.
 type Histogram struct {
 	bounds []float64      // inclusive upper bounds, ascending
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
-	count  atomic.Int64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -173,7 +173,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -183,23 +182,71 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Buckets returns the upper bounds and the cumulative count at each bound
-// (Prometheus `le` semantics), excluding the implicit +Inf bucket whose
-// cumulative count is Count.
-func (h *Histogram) Buckets() ([]float64, []int64) {
-	cum := make([]int64, len(h.bounds))
+// cumulative reads every bucket once and returns the cumulative count at
+// each bound (Prometheus `le` semantics) followed by the +Inf bucket,
+// which is the total. It is the histogram's only count read, so an
+// exporter's +Inf bucket and _count always come from one pass and a
+// concurrent Observe can never make them disagree.
+func (h *Histogram) cumulative() []int64 {
+	cum := make([]int64, len(h.counts))
 	var running int64
-	for i := range h.bounds {
+	for i := range h.counts {
 		running += h.counts[i].Load()
 		cum[i] = running
 	}
-	return append([]float64(nil), h.bounds...), cum
+	return cum
+}
+
+// Stage is one pipeline stage's latency timer: its
+// dynaminer_stage_<stage>_seconds histogram and the EWMA that defines
+// "slow" for trace promotion. A registry holds one Stage per dotted name
+// (Registry.Stage). The component that reads a stage's clock observes it
+// once per execution, traced or not, and hands the same readings to its
+// span, which only records.
+type Stage struct {
+	name string
+	hist *Histogram
+	ewma atomic.Uint64 // float64 bits of the EWMA latency, seconds
+}
+
+// Name returns the stage's dotted name.
+func (s *Stage) Name() string { return s.name }
+
+// EWMA returns the stage's EWMA latency in seconds (0 until the first
+// observation).
+func (s *Stage) EWMA() float64 { return math.Float64frombits(s.ewma.Load()) }
+
+// Observe records one execution's latency in the stage histogram and
+// folds it into the EWMA (alpha 1/8; the first observation seeds it). A
+// traced caller ends the span first, so slow promotion compares the
+// execution against the average before it.
+//
+//dynalint:hotpath
+func (s *Stage) Observe(seconds float64) {
+	s.hist.Observe(seconds)
+	for {
+		old := s.ewma.Load()
+		next := seconds
+		if old != 0 {
+			prev := math.Float64frombits(old)
+			next = prev + (seconds-prev)/8
+		}
+		if s.ewma.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
+}
+
+// slow reports whether seconds exceeds factor times the stage EWMA; a
+// stage with no observations yet is never slow.
+//
+//dynalint:hotpath
+func (s *Stage) slow(seconds, factor float64) bool {
+	avg := s.EWMA()
+	return avg > 0 && seconds > factor*avg
 }
 
 // sameBounds reports whether two bucket layouts are identical.

@@ -15,8 +15,9 @@
 //   - One registry per serving instance. A Monitor, a ShardedEngine, or a
 //     Proxy owns (or is handed) a Registry; per-instance Stats structs are
 //     bridged views over it, so two engines in one process never mix
-//     counters. Process-wide library metrics (the httpstream parsers) live
-//     on the package Default registry.
+//     counters. Process-wide library metrics (the httpstream.parse and
+//     pcap.reassemble stages, the parser counters) live on the package
+//     Default registry.
 //   - Sharded writers. A Counter hands out cache-line-padded Cells via
 //     NewCell, one per engine shard; each shard increments its own cell
 //     with no contention and reads it back for the per-shard Stats view,
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -102,6 +104,7 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
+	stage   *Stage // set when hist is a stage's histogram
 	vec     *GaugeVec
 	fgauge  *FloatGauge
 }
@@ -127,7 +130,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry carries process-wide library metrics (httpstream
-// parsing); serving instances own their own registries.
+// parsing, pcap reassembly); serving instances own their own registries.
 var (
 	defaultOnce     sync.Once
 	defaultRegistry *Registry
@@ -219,6 +222,28 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
 	}
 	return e.hist
+}
+
+// Stage returns the pipeline stage with the dotted name, creating it and
+// its dynaminer_stage_<name>_seconds histogram (dots folded to
+// underscores) on first use. Setup-time only. The name must be lowercase
+// dotted stage.substage, the contract the dynalint metricname analyzer
+// enforces statically; Stage panics otherwise, and when a plain histogram
+// already holds the stage's family name.
+func (r *Registry) Stage(name string) *Stage {
+	if err := ValidateSpanName(name); err != nil {
+		panic(err)
+	}
+	metric := "dynaminer_stage_" + strings.ReplaceAll(name, ".", "_") + "_seconds"
+	e, fresh := r.register(metric, "latency of the "+name+" pipeline stage", kindHistogram)
+	if fresh {
+		e.hist = newHistogram(LatencyBuckets)
+		e.stage = &Stage{name: name, hist: e.hist}
+	}
+	if e.stage == nil {
+		panic(fmt.Sprintf("obs: %q is registered as a plain histogram, not stage %q", metric, name))
+	}
+	return e.stage
 }
 
 // GaugeVec returns the named one-label gauge family. Children are

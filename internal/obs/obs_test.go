@@ -76,6 +76,19 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	mustPanic("descending bounds", func() { r.Histogram("bad_seconds", "help", []float64{2, 1}) })
 }
 
+// TestStageOverPlainHistogramPanics: a stage's family name held by a
+// hand-registered histogram would be a second timer for the stage.
+func TestStageOverPlainHistogramPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("dynaminer_stage_ml_score_seconds", "hand-registered", LatencyBuckets)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Stage bound to a plain histogram")
+		}
+	}()
+	r.Stage("ml.score")
+}
+
 func TestCounterCellsAggregate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tx_total", "help")
@@ -123,17 +136,15 @@ func TestHistogramObserve(t *testing.T) {
 		h.Observe(v)
 		want += v // same left-to-right float64 accumulation as the histogram
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
-	}
 	if got := h.Sum(); got != want {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
-	bounds, cum := h.Buckets()
-	wantCum := []int64{2, 3, 4} // le=0.01: {0.005, 0.01}; le=0.1: +0.05; le=1: +0.5
-	for i := range bounds {
+	cum := h.cumulative()
+	// le=0.01: {0.005, 0.01}; le=0.1: +0.05; le=1: +0.5; +Inf: +5, the count.
+	wantCum := []int64{2, 3, 4, 5}
+	for i := range wantCum {
 		if cum[i] != wantCum[i] {
-			t.Fatalf("cumulative[le=%g] = %d, want %d", bounds[i], cum[i], wantCum[i])
+			t.Fatalf("cumulative[%d] = %d, want %d", i, cum[i], wantCum[i])
 		}
 	}
 }
@@ -199,6 +210,51 @@ func TestWritePrometheusParsesBack(t *testing.T) {
 	vec := fams["dynaminer_breaker_state_total"]
 	if len(vec.Samples) != 2 {
 		t.Fatalf("gauge vec samples = %d, want 2: %v", len(vec.Samples), vec.Samples)
+	}
+}
+
+// TestHistogramExportsConsistentUnderObserve races Observe writers
+// against the two exporters. Every written document must parse (its
+// +Inf bucket agrees with _count), and, with every value inside the
+// finite buckets, every snapshot's last cumulative bucket must equal its
+// Count: both exporters take one pass over the buckets.
+func TestHistogramExportsConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("dynaminer_race_seconds", "raced histogram", LatencyBuckets)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i%2) * 1e-3)
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	e := r.entries()[0]
+	var buf bytes.Buffer
+	for i := 0; i < 500; i++ {
+		buf.Reset()
+		if err := writeFamily(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("round %d: concurrent exposition does not parse: %v\n%s", i, err, buf.String())
+		}
+		hs := r.Snapshot()[0]
+		if last := hs.Buckets[len(hs.Buckets)-1].Count; last != hs.Count {
+			t.Fatalf("round %d: snapshot last bucket %d disagrees with count %d", i, last, hs.Count)
+		}
 	}
 }
 

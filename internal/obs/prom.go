@@ -30,13 +30,14 @@ func writeFamily(w io.Writer, e *entry) error {
 			fmt.Fprintf(bw, "%s{%s=%q} %d\n", e.name, e.vec.label, escapeLabel(k), children[k].Value())
 		}
 	case kindHistogram:
-		bounds, cum := e.hist.Buckets()
-		for i, b := range bounds {
+		cum := e.hist.cumulative()
+		for i, b := range e.hist.bounds {
 			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", e.name, formatFloat(b), cum[i])
 		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.name, e.hist.Count())
+		total := cum[len(cum)-1]
+		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.name, total)
 		fmt.Fprintf(bw, "%s_sum %s\n", e.name, formatFloat(e.hist.Sum()))
-		fmt.Fprintf(bw, "%s_count %d\n", e.name, e.hist.Count())
+		fmt.Fprintf(bw, "%s_count %d\n", e.name, total)
 	}
 	return bw.Flush()
 }
@@ -99,10 +100,10 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 				ms.Children[k] = children[k].Value()
 			}
 		case kindHistogram:
-			ms.Count = e.hist.Count()
+			cum := e.hist.cumulative()
+			ms.Count = cum[len(cum)-1]
 			ms.Sum = e.hist.Sum()
-			bounds, cum := e.hist.Buckets()
-			for i, b := range bounds {
+			for i, b := range e.hist.bounds {
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{UpperBound: b, Count: cum[i]})
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -15,11 +14,13 @@ import (
 )
 
 // This file is the pipeline tracing layer: a Tracer records one span tree
-// per transaction across the wire path (pcap reassembly → httpstream
-// parse → feature extraction → forest scoring → alert/journal write) into
-// a fixed-size ring of pre-allocated slots. Recording is zero-alloc on
+// per transaction across the serving path (proxy request → detector
+// process → feature extraction → forest scoring → alert/journal write)
+// into a fixed-size ring of pre-allocated slots. The batch-shaped
+// capture layers (pcap reassembly, httpstream parse) observe their
+// stages without spans. Recording is zero-alloc on
 // the hot path — ActiveTrace comes from a pool, spans live in a fixed
-// array, stage names are interned to StageIDs at setup time — and the
+// array, stages are resolved to *Stage at setup time — and the
 // keep/discard decision combines head-based sampling (every Nth
 // transaction) with always-keep promotion for slow spans (per-stage EWMA
 // threshold) and alert-raising transactions. Kept trees export as Chrome
@@ -80,10 +81,6 @@ func ValidateSpanName(name string) error {
 	return nil
 }
 
-// StageID is an interned span name, resolved once via Tracer.Stage at
-// setup time so the hot path never touches strings.
-type StageID int32
-
 // SpanFlags annotate a span with the serving conditions active when it
 // ran — quarantine/degraded attribution, the incremental-vs-rebuild
 // path, proxy retry/breaker outcomes.
@@ -139,43 +136,12 @@ func (f SpanFlags) String() string {
 // offset from the trace's begin instant; Dur is negative while the span
 // is open.
 type Span struct {
-	Stage  StageID
+	Stage  *Stage
 	Parent int16 // index of the enclosing span, -1 for the root
 	Flags  SpanFlags
 	Arg    int32 // stage-specific attribution: shard index, retry attempt
 	Start  time.Duration
 	Dur    time.Duration
-}
-
-// stageInfo is one interned stage: its name, its registry histogram, and
-// the EWMA latency that defines "slow" for promotion.
-type stageInfo struct {
-	name string
-	hist *Histogram
-	ewma atomic.Uint64 // float64 bits of the stage's EWMA latency, seconds
-}
-
-// updateEWMA folds one observation into the stage EWMA (alpha 1/8) and
-// reports whether it exceeded slowFactor times the prior average. The
-// first observation only warms the average.
-//
-//dynalint:hotpath
-func (s *stageInfo) updateEWMA(x, slowFactor float64) bool {
-	for {
-		old := s.ewma.Load()
-		slow := false
-		var next float64
-		if old == 0 {
-			next = x
-		} else {
-			prev := math.Float64frombits(old)
-			slow = x > slowFactor*prev
-			next = prev + (x-prev)/8
-		}
-		if s.ewma.CompareAndSwap(old, math.Float64bits(next)) {
-			return slow
-		}
-	}
 }
 
 // traceRecord is one committed span tree, fixed-size so ring slots never
@@ -217,9 +183,8 @@ type TraceConfig struct {
 }
 
 // Tracer records per-transaction span trees. One tracer is shared by
-// every pipeline component of a serving instance (engine shards, proxy,
-// parsers); Stage interning and ring commits are locked, span recording
-// is not.
+// every pipeline component of a serving instance (engine shards,
+// proxy); ring commits are locked, span recording is not.
 type Tracer struct {
 	reg        *Registry
 	sample     uint64
@@ -235,10 +200,6 @@ type Tracer struct {
 	// trace-id source, so ids are unique and dense per tracer.
 	txs atomic.Uint64
 
-	mu     sync.Mutex
-	byName map[string]StageID           // guarded by mu
-	stages atomic.Pointer[[]*stageInfo] // copy-on-write; hot path loads
-
 	ring []traceSlot
 	head atomic.Uint64
 
@@ -251,8 +212,8 @@ type Tracer struct {
 	spanDrops *Counter
 }
 
-// NewTracer builds a tracer whose per-stage histograms register on reg
-// (dynaminer_stage_<stage>_seconds families); a nil reg gets a private
+// NewTracer builds a tracer whose self-telemetry counters register on
+// reg, which also resolves Tracer.Stage; a nil reg gets a private
 // registry, which keeps the tracer functional but unexported.
 func NewTracer(reg *Registry, cfg TraceConfig) *Tracer {
 	if reg == nil {
@@ -284,7 +245,6 @@ func NewTracer(reg *Registry, cfg TraceConfig) *Tracer {
 		slowFactor: sf,
 		base:       base,
 		since:      since,
-		byName:     make(map[string]StageID),
 		ring:       make([]traceSlot, ring),
 		recorded:   reg.Counter("dynaminer_trace_recorded_total", "span trees committed to the trace ring (sampled, slow-promoted, or alerting)"),
 		sampled:    reg.Counter("dynaminer_trace_sampled_total", "span trees kept by head-based every-Nth sampling"),
@@ -292,8 +252,6 @@ func NewTracer(reg *Registry, cfg TraceConfig) *Tracer {
 		alertKept:  reg.Counter("dynaminer_trace_alerts_total", "span trees promoted because the transaction raised an alert"),
 		spanDrops:  reg.Counter("dynaminer_trace_span_drops_total", "spans dropped because a trace exceeded its fixed span capacity"),
 	}
-	empty := make([]*stageInfo, 0, 16)
-	t.stages.Store(&empty)
 	t.pool.New = func() any { return new(ActiveTrace) }
 	return t
 }
@@ -306,77 +264,10 @@ func (t *Tracer) Sample() int {
 	return int(t.sample)
 }
 
-// Stage interns a span name, registering its latency histogram
-// (dynaminer_stage_<name>_seconds with dots folded to underscores) on
-// the tracer's registry. Get-or-create and setup-time only; the name
-// must be lowercase dotted stage.substage or Stage panics — the same
-// contract the dynalint metricname analyzer enforces statically.
-func (t *Tracer) Stage(name string) StageID {
-	if err := ValidateSpanName(name); err != nil {
-		panic(err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.byName[name]; ok {
-		return id
-	}
-	metric := "dynaminer_stage_" + strings.ReplaceAll(name, ".", "_") + "_seconds"
-	si := &stageInfo{
-		name: name,
-		hist: t.reg.Histogram(metric, "latency of the "+name+" pipeline stage", LatencyBuckets),
-	}
-	cur := *t.stages.Load()
-	next := make([]*stageInfo, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = si
-	t.stages.Store(&next)
-	id := StageID(len(cur))
-	t.byName[name] = id
-	return id
-}
-
-// StageName resolves an interned StageID back to its dotted name.
-func (t *Tracer) StageName(id StageID) string {
-	if t == nil {
-		return ""
-	}
-	stages := *t.stages.Load()
-	if int(id) < 0 || int(id) >= len(stages) {
-		return ""
-	}
-	return stages[id].name
-}
-
-// StageEWMA returns a stage's current EWMA latency in seconds (0 until
-// the first observation).
-func (t *Tracer) StageEWMA(id StageID) float64 {
-	if t == nil {
-		return 0
-	}
-	stages := *t.stages.Load()
-	if int(id) < 0 || int(id) >= len(stages) {
-		return 0
-	}
-	return math.Float64frombits(stages[id].ewma.Load())
-}
-
-// ObserveStage records a stage latency outside any span tree — the hook
-// batch-shaped pipeline components (pcap reassembly, httpstream parse)
-// use to feed the per-stage histograms and EWMAs without carrying an
-// ActiveTrace.
-//
-//dynalint:hotpath
-func (t *Tracer) ObserveStage(id StageID, seconds float64) {
-	if t == nil {
-		return
-	}
-	stages := *t.stages.Load()
-	if int(id) < 0 || int(id) >= len(stages) {
-		return
-	}
-	stages[id].hist.Observe(seconds)
-	stages[id].updateEWMA(seconds, t.slowFactor)
-}
+// Stage returns the named stage on the tracer's registry — the same
+// object Registry.Stage returns there. Setup-time only; the name must be
+// lowercase dotted stage.substage or Stage panics.
+func (t *Tracer) Stage(name string) *Stage { return t.reg.Stage(name) }
 
 // ActiveTrace is one transaction's in-progress span tree. It is owned by
 // exactly one goroutine between Begin and Finish; all methods are
@@ -484,7 +375,7 @@ func (t *Tracer) FinishIn(at *ActiveTrace) {
 		end := at.rel()
 		for at.openN > 0 {
 			at.openN--
-			at.closeSpan(int(at.open[at.openN]), end)
+			at.closeSpan(int(at.open[at.openN]), end, false)
 		}
 	}
 	if at.sampled || at.slow || at.alert {
@@ -533,7 +424,7 @@ func (a *ActiveTrace) ID() uint64 {
 // root span begins when the trace does.
 //
 //dynalint:hotpath
-func (a *ActiveTrace) StartSpan(stage StageID) int {
+func (a *ActiveTrace) StartSpan(stage *Stage) int {
 	if a == nil {
 		return -1
 	}
@@ -550,7 +441,7 @@ func (a *ActiveTrace) StartSpan(stage StageID) int {
 // through so one boundary never costs two clock reads.
 //
 //dynalint:hotpath
-func (a *ActiveTrace) StartSpanAt(stage StageID, at time.Time) int {
+func (a *ActiveTrace) StartSpanAt(stage *Stage, at time.Time) int {
 	if a == nil {
 		return -1
 	}
@@ -558,7 +449,7 @@ func (a *ActiveTrace) StartSpanAt(stage StageID, at time.Time) int {
 }
 
 //dynalint:hotpath
-func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
+func (a *ActiveTrace) startSpanRel(stage *Stage, start time.Duration) int {
 	if a.n >= maxTraceSpans || a.openN >= traceStackDepth {
 		a.dropped++
 		return -1
@@ -580,52 +471,53 @@ func (a *ActiveTrace) startSpanRel(stage StageID, start time.Duration) int {
 	return idx
 }
 
-// EndSpan closes the span at idx, observing its stage histogram and
-// EWMA; children left open (a panic unwound past their EndSpan) close at
-// the same instant. Closing an already-closed or invalid index is a
-// no-op.
+// EndSpan closes the span at idx on the tracer's own clock read. The
+// tracer is then the stage's timer, so it observes the stage; children
+// left open (a panic unwound past their EndSpan) close at the same
+// instant without observing. Closing an already-closed or invalid index
+// is a no-op.
 //
 //dynalint:hotpath
 func (a *ActiveTrace) EndSpan(idx int) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
 	}
-	a.endSpanRel(idx, a.rel())
+	a.endSpanRel(idx, a.rel(), true)
 }
 
 // EndSpanAt closes the span at idx at an externally read timestamp — the
-// end-of-measurement clock reading an instrumented layer already took for
-// its own latency metric.
+// reading an instrumented layer took to observe the stage itself, so the
+// span only records.
 //
 //dynalint:hotpath
 func (a *ActiveTrace) EndSpanAt(idx int, at time.Time) {
 	if a == nil || idx < 0 || idx >= a.n {
 		return
 	}
-	a.endSpanRel(idx, a.relAt(at))
+	a.endSpanRel(idx, a.relAt(at), false)
 }
 
 //dynalint:hotpath
-func (a *ActiveTrace) endSpanRel(idx int, end time.Duration) {
+func (a *ActiveTrace) endSpanRel(idx int, end time.Duration, observe bool) {
 	for a.openN > 0 {
 		top := int(a.open[a.openN-1])
 		a.openN--
-		a.closeSpan(top, end)
+		a.closeSpan(top, end, observe && top == idx)
 		if top == idx {
 			return
 		}
 	}
-	a.closeSpan(idx, end)
+	a.closeSpan(idx, end, observe)
 }
 
-// closeSpan finalizes one open span at the given end offset. The stage
-// EWMA folds in every closed span — slow promotion is never blind — but
-// the registry histogram observes only head-sampled traces, keeping the
-// exported distribution an unbiased every-Nth view at a fraction of the
-// atomic traffic.
+// closeSpan finalizes one open span at the given end offset and promotes
+// the trace when the span ran slow against its stage EWMA. observe is
+// set only when the tracer's clock read timed the span; then it also
+// observes the stage, after the slow check so the span is compared with
+// the average before it.
 //
 //dynalint:hotpath
-func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
+func (a *ActiveTrace) closeSpan(idx int, end time.Duration, observe bool) {
 	sp := &a.spans[idx]
 	if sp.Dur >= 0 {
 		return
@@ -635,17 +527,15 @@ func (a *ActiveTrace) closeSpan(idx int, end time.Duration) {
 		d = 0
 	}
 	sp.Dur = d
-	stages := *a.t.stages.Load()
-	if int(sp.Stage) < 0 || int(sp.Stage) >= len(stages) {
+	if sp.Stage == nil {
 		return
 	}
-	si := stages[sp.Stage]
 	secs := d.Seconds()
-	if a.sampled {
-		si.hist.Observe(secs)
-	}
-	if si.updateEWMA(secs, a.t.slowFactor) {
+	if sp.Stage.slow(secs, a.t.slowFactor) {
 		a.slow = true
+	}
+	if observe {
+		sp.Stage.Observe(secs)
 	}
 }
 
@@ -706,7 +596,7 @@ type TraceSnapshot struct {
 }
 
 // snapshotRecord converts a committed record to its export form.
-func snapshotRecord(r *traceRecord, stages []*stageInfo) TraceSnapshot {
+func snapshotRecord(r *traceRecord) TraceSnapshot {
 	out := TraceSnapshot{
 		ID:           r.id,
 		Start:        r.start,
@@ -719,8 +609,8 @@ func snapshotRecord(r *traceRecord, stages []*stageInfo) TraceSnapshot {
 	for i := 0; i < r.n; i++ {
 		sp := &r.spans[i]
 		name := ""
-		if int(sp.Stage) >= 0 && int(sp.Stage) < len(stages) {
-			name = stages[sp.Stage].name
+		if sp.Stage != nil {
+			name = sp.Stage.name
 		}
 		dur := sp.Dur
 		if dur < 0 {
@@ -743,7 +633,6 @@ func (t *Tracer) Snapshots() []TraceSnapshot {
 	if t == nil {
 		return nil
 	}
-	stages := *t.stages.Load()
 	out := make([]TraceSnapshot, 0, len(t.ring))
 	for i := range t.ring {
 		slot := &t.ring[i]
@@ -754,7 +643,7 @@ func (t *Tracer) Snapshots() []TraceSnapshot {
 		}
 		rec := slot.rec
 		slot.mu.Unlock()
-		out = append(out, snapshotRecord(&rec, stages))
+		out = append(out, snapshotRecord(&rec))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -766,14 +655,13 @@ func (t *Tracer) Find(id uint64) (TraceSnapshot, bool) {
 	if t == nil || id == 0 {
 		return TraceSnapshot{}, false
 	}
-	stages := *t.stages.Load()
 	for i := range t.ring {
 		slot := &t.ring[i]
 		slot.mu.Lock()
 		if slot.used && slot.rec.id == id {
 			rec := slot.rec
 			slot.mu.Unlock()
-			return snapshotRecord(&rec, stages), true
+			return snapshotRecord(&rec), true
 		}
 		slot.mu.Unlock()
 	}

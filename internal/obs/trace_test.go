@@ -24,7 +24,7 @@ func newFakeTraceClock() *fakeTraceClock {
 
 func (c *fakeTraceClock) now() time.Time          { return c.at }
 func (c *fakeTraceClock) advance(d time.Duration) { c.at = c.at.Add(d) }
-func (c *fakeTraceClock) spanOf(s StageID, at *ActiveTrace, d time.Duration) {
+func (c *fakeTraceClock) spanOf(s *Stage, at *ActiveTrace, d time.Duration) {
 	i := at.StartSpan(s)
 	c.advance(d)
 	at.EndSpan(i)
@@ -65,7 +65,7 @@ func TestTraceNilSafety(t *testing.T) {
 	if at != nil {
 		t.Fatal("nil tracer Begin returned a trace")
 	}
-	if i := at.StartSpan(0); i != -1 {
+	if i := at.StartSpan(nil); i != -1 {
 		t.Fatalf("nil trace StartSpan = %d, want -1", i)
 	}
 	at.EndSpan(0)
@@ -76,7 +76,6 @@ func TestTraceNilSafety(t *testing.T) {
 		t.Fatal("nil trace has a nonzero id")
 	}
 	tr.Finish(at)
-	tr.ObserveStage(0, 0.1)
 	if tr.Snapshots() != nil {
 		t.Fatal("nil tracer returned snapshots")
 	}
@@ -133,7 +132,7 @@ func TestTraceSlowPromotion(t *testing.T) {
 	if got := len(tr.Snapshots()); got != 0 {
 		t.Fatalf("steady-state spans kept %d traces, want 0", got)
 	}
-	ewma := tr.StageEWMA(st)
+	ewma := st.EWMA()
 	if ewma <= 0 || ewma > 0.002 {
 		t.Fatalf("stage EWMA = %v after 1ms spans, want ~0.001", ewma)
 	}
@@ -151,6 +150,31 @@ func TestTraceSlowPromotion(t *testing.T) {
 	}
 	if got := reg.CounterValue("dynaminer_trace_slow_total"); got != 1 {
 		t.Fatalf("slow counter = %v, want 1", got)
+	}
+}
+
+// TestSpanObservesOnlyItsOwnClock: a span closed on the tracer's own
+// clock read observes its stage on every transaction, sampled or not; a
+// span closed at a caller's reading only records, because that caller
+// observes the stage itself.
+func TestSpanObservesOnlyItsOwnClock(t *testing.T) {
+	clock := newFakeTraceClock()
+	tr := NewTracer(nil, TraceConfig{Sample: 0, Now: clock.now})
+	own := tr.Stage("test.own")
+	ext := tr.Stage("test.external")
+	for i := 0; i < 10; i++ {
+		at := tr.Begin()
+		clock.spanOf(own, at, time.Millisecond)
+		s := at.StartSpanAt(ext, clock.now())
+		clock.advance(time.Millisecond)
+		at.EndSpanAt(s, clock.now())
+		tr.Finish(at)
+	}
+	if got := own.hist.cumulative()[len(LatencyBuckets)]; got != 10 {
+		t.Fatalf("tracer-timed stage observed %d of 10 unsampled spans", got)
+	}
+	if got := ext.hist.cumulative()[len(LatencyBuckets)]; got != 0 {
+		t.Fatalf("caller-timed stage observed %d times by its spans, want 0", got)
 	}
 }
 
@@ -288,27 +312,28 @@ func TestTraceSpanOverflow(t *testing.T) {
 	}
 }
 
-// TestStageValidation: Stage interns idempotently, registers the folded
-// histogram name, and panics on names the dynalint analyzer would reject.
+// TestStageValidation: Stage is get-or-create, one object per registry
+// shared by the registry and the tracer, registers the folded histogram
+// name, and panics on names the dynalint analyzer would reject.
 func TestStageValidation(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, TraceConfig{})
 	a := tr.Stage("features.incremental")
-	if b := tr.Stage("features.incremental"); b != a {
-		t.Fatalf("re-interning returned %d, first intern %d", b, a)
+	if b := reg.Stage("features.incremental"); b != a {
+		t.Fatalf("registry resolved %p, tracer %p; want one stage object", b, a)
 	}
-	if got := tr.StageName(a); got != "features.incremental" {
-		t.Fatalf("StageName = %q", got)
+	if got := a.Name(); got != "features.incremental" {
+		t.Fatalf("Name = %q", got)
 	}
-	tr.ObserveStage(a, 0.001)
+	a.Observe(0.001)
 	found := false
 	for _, s := range reg.Snapshot() {
-		if s.Name == "dynaminer_stage_features_incremental_seconds" {
+		if s.Name == "dynaminer_stage_features_incremental_seconds" && s.Count == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("stage histogram dynaminer_stage_features_incremental_seconds not registered")
+		t.Fatal("stage histogram dynaminer_stage_features_incremental_seconds not registered with the observation")
 	}
 	for _, bad := range []string{"", "nodot", "Has.Upper", "trailing.dot.", "double..dot", "9lead.seg", "has-dash.seg"} {
 		func() {

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"dynaminer/internal/obs"
 )
 
 // Stream is one direction of a reassembled TCP conversation: a contiguous
@@ -331,20 +333,24 @@ func (a *Assembler) StreamsInto(dst []*Stream) []*Stream {
 	return dst
 }
 
+// pcap has no owning serving instance, so its pcap.reassemble stage lives
+// on the process-wide obs.Default registry. Reassembly is batch-shaped —
+// many packets and flows per call — so every AssembleStreams[Into] call
+// observes the stage once and opens no span. The clock is a function
+// value per the zerotime invariant.
+var (
+	reassembleClock = time.Now
+	reassembleStage = obs.Default().Stage("pcap.reassemble")
+)
+
 // AssembleStreams is a convenience that decodes every packet (skipping
 // non-TCP frames) and returns the reassembled streams. The backing
 // Assembler is garbage-collected, never pooled, so the streams live as
 // long as the caller keeps them.
 func AssembleStreams(pkts []Packet) []*Stream {
-	tb := capTrace.Load()
-	var t0 time.Time
-	if tb != nil {
-		t0 = traceClock()
-	}
+	t0 := reassembleClock()
 	out := feedAll(NewAssembler(), pkts).Streams()
-	if tb != nil {
-		tb.t.ObserveStage(tb.stage, traceClock().Sub(t0).Seconds())
-	}
+	reassembleStage.Observe(reassembleClock().Sub(t0).Seconds())
 	return out
 }
 
@@ -356,16 +362,10 @@ func AssembleStreams(pkts []Packet) []*Stream {
 //
 //dynalint:hotpath
 func AssembleStreamsInto(dst []*Stream, pkts []Packet) ([]*Stream, *Assembler) {
-	tb := capTrace.Load()
-	var t0 time.Time
-	if tb != nil {
-		t0 = traceClock()
-	}
+	t0 := reassembleClock()
 	a := GetAssembler()
 	out := feedAll(a, pkts).StreamsInto(dst)
-	if tb != nil {
-		tb.t.ObserveStage(tb.stage, traceClock().Sub(t0).Seconds())
-	}
+	reassembleStage.Observe(reassembleClock().Sub(t0).Seconds())
 	return out, a
 }
 

@@ -53,13 +53,14 @@ func newProxyMetrics(reg *obs.Registry) *proxyMetrics {
 	}
 }
 
-// proxyStages holds the interned trace stage IDs for the proxy's share
-// of a request's span tree (the detector's spans nest under
-// proxy.request via ProcessTraced).
+// proxyStages holds the stages of the proxy's share of a request's span
+// tree (the detector's spans nest under proxy.request via
+// ProcessTraced). The spans time them on the tracer's clock, so they
+// exist only on a traced proxy.
 type proxyStages struct {
-	request  obs.StageID
-	upstream obs.StageID
-	relay    obs.StageID
+	request  *obs.Stage
+	upstream *obs.Stage
+	relay    *obs.Stage
 }
 
 func newProxyStages(t *obs.Tracer) proxyStages {

@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"time"
 
-	"dynaminer/internal/httpstream"
 	"dynaminer/internal/obs"
-	"dynaminer/internal/pcap"
 )
 
 // Re-exported observability types (see internal/obs and DESIGN.md §10).
@@ -34,10 +32,10 @@ type (
 	// AdminOptions extends the admin surface: extra endpoints, a
 	// readiness source for /healthz, and a tracer for /trace.
 	AdminOptions = obs.AdminOptions
-	// Tracer records per-transaction span trees across the wire path —
-	// reassembly, parse, feature extraction, scoring, journaling — into a
-	// fixed-size ring with head sampling plus always-keep promotion of
-	// slow and alert-raising transactions. See DESIGN.md §15.
+	// Tracer records per-transaction span trees across the serving path
+	// — proxy request, detection, feature extraction, scoring, journaling
+	// — into a fixed-size ring with head sampling plus always-keep
+	// promotion of slow and alert-raising transactions. See DESIGN.md §15.
 	Tracer = obs.Tracer
 	// TraceConfig tunes a Tracer: sampling period, ring size, slow-trace
 	// promotion factor.
@@ -83,10 +81,13 @@ func StartAdminWith(addr string, opts AdminOptions, regs ...*MetricsRegistry) (*
 	return obs.StartAdminWith(addr, opts, regs...)
 }
 
-// NewTracer returns a pipeline tracer registering its stage histograms
-// and self-telemetry on reg (nil selects a private registry). Pass it as
-// MonitorConfig.Tracer / ProxyConfig.Detector.Tracer, and to
-// SetCaptureTracer for the capture layers.
+// NewTracer returns a pipeline tracer registering its self-telemetry on
+// reg (nil selects a private registry). Pass it as MonitorConfig.Tracer /
+// ProxyConfig.Detector.Tracer, with the same registry as Metrics. The
+// tracer adds span trees only: every stage histogram
+// (dynaminer_stage_<stage>_seconds) observes every execution whether or
+// not a tracer is attached, and the capture layers' pcap.reassemble and
+// httpstream.parse stages live on DefaultMetricsRegistry.
 func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTracer(reg, cfg) }
 
 // TraceHandler serves a tracer's ring over HTTP: Chrome trace-event JSON
@@ -94,16 +95,6 @@ func NewTracer(reg *MetricsRegistry, cfg TraceConfig) *Tracer { return obs.NewTr
 // for a human-readable summary, ?id=N for one trace. Monitor.StartAdmin
 // mounts it on /trace automatically when the monitor has a tracer.
 func TraceHandler(t *Tracer) http.Handler { return obs.TraceHandler(t) }
-
-// SetCaptureTracer points the owning-instance-free capture layers — pcap
-// reassembly and HTTP stream parsing — at a pipeline tracer, so their
-// batch timing lands in the pcap.reassemble and httpstream.parse stage
-// histograms. nil detaches. The detector and proxy layers take their
-// tracer via config instead.
-func SetCaptureTracer(t *Tracer) {
-	pcap.SetTracer(t)
-	httpstream.SetTracer(t)
-}
 
 // StartRuntimeCollector publishes runtime health telemetry on reg,
 // refreshed every interval (zero selects 10s) until Close. Monitor and

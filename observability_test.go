@@ -106,9 +106,10 @@ func TestRegistrySnapshotMatchesStats(t *testing.T) {
 		}
 	}
 	for _, h := range []string{
-		"dynaminer_detector_classify_incremental_seconds",
-		"dynaminer_detector_classify_rebuild_seconds",
-		"dynaminer_ml_score_seconds",
+		"dynaminer_stage_detector_classify_seconds",
+		"dynaminer_stage_features_incremental_seconds",
+		"dynaminer_stage_features_rebuild_seconds",
+		"dynaminer_stage_ml_score_seconds",
 	} {
 		if !byName[h] {
 			t.Errorf("snapshot lacks %s", h)
