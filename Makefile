@@ -40,8 +40,10 @@ chaos:
 	$(GO) test -race -count 1 -v -run 'TestChaosSoak' ./internal/chaos
 
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
-# of the checked-in seed corpus (testdata/fuzz), plus the model-file
-# loader differential. Regenerate the synth seeds with
+# of the checked-in seed corpus (testdata/fuzz), the model-file loader
+# differentials, and the wcg body-redirect sniffer targets (the decoder,
+# the sniffer, and the sniffer's differential against its regex oracle).
+# Regenerate the synth seeds with
 # DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
 FUZZTIME ?= 10s
 fuzz:
@@ -50,6 +52,9 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffBodyRedirects$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzSniffMatchesOracle$$' -fuzztime $(FUZZTIME)
 
 # Bench: run the benchmark suite and record the parsed results as JSON.
 # BENCH_PATTERN narrows the run (CI smokes just the classify trio);
@@ -59,6 +64,9 @@ fuzz:
 # overhead bar — and fails the target when violated. BENCH_BASELINE +
 # BENCH_BASELINE_GATE gate one benchmark's ns/op against a committed
 # prior record (e.g. 'ClassifyIncremental<=1.05' vs BENCH_8.json).
+# BENCHTIME defaults to 1x: the committed BENCH_6 through BENCH_10
+# records are single-iteration runs, so their ratios are indicative, not
+# noise-resolved; pass a larger BENCHTIME to measure.
 BENCH_PATTERN ?= .
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_10.json
