@@ -403,13 +403,13 @@ func runEngineBench(b *testing.B, process func(Transaction) []Alert) {
 
 func BenchmarkShardedProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.NewSharded(detector.Config{RedirectThreshold: 3}, clf.forest)
+	eng := detector.NewSharded(detector.Config{RedirectThreshold: 3}, clf.flat)
 	runEngineBench(b, eng.Process)
 }
 
 func BenchmarkSingleEngineProcess(b *testing.B) {
 	clf := classifierForBench(b)
-	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.forest)
+	eng := detector.New(detector.Config{RedirectThreshold: 3}, clf.flat)
 	var mu sync.Mutex
 	runEngineBench(b, func(tx Transaction) []Alert {
 		mu.Lock()
@@ -469,7 +469,7 @@ func benchClassifyChain(b *testing.B, cfg detector.Config) {
 	b.ResetTimer()
 	var st detector.Stats
 	for i := 0; i < b.N; i++ {
-		eng := detector.New(cfg, clf.forest)
+		eng := detector.New(cfg, clf.flat)
 		for _, tx := range txs {
 			eng.Process(tx)
 		}
@@ -517,11 +517,9 @@ func BenchmarkClassifyTraced(b *testing.B) {
 	})
 }
 
-// Forest-representation benchmarks: the same trained ensemble scoring the
-// same 37-feature vectors through the pointer-tree representation and the
-// flattened struct-of-arrays slabs, plus the batch kernel that amortizes
-// dispatch across trees. CI gates ForestScoreFlat/ForestScorePointer so
-// the flat path can never regress below the pointer path it replaced.
+// Forest-scoring benchmarks: the trained ensemble scoring 37-feature
+// vectors one at a time through the struct-of-arrays slabs, and through
+// the batch kernel that amortizes dispatch across trees.
 
 func forestVectorsForBench(b *testing.B) [][]float64 {
 	b.Helper()
@@ -533,21 +531,8 @@ func forestVectorsForBench(b *testing.B) [][]float64 {
 	return ds.X[:n]
 }
 
-func BenchmarkForestScorePointer(b *testing.B) {
-	f := classifierForBench(b).forest
-	X := forestVectorsForBench(b)
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += f.Score(X[i%len(X)])
-	}
-	if sink < 0 {
-		b.Fatal("impossible score sum")
-	}
-}
-
 func BenchmarkForestScoreFlat(b *testing.B) {
-	ff := classifierForBench(b).forest.Flatten()
+	ff := classifierForBench(b).flat
 	X := forestVectorsForBench(b)
 	b.ResetTimer()
 	var sink float64
@@ -563,7 +548,7 @@ func BenchmarkForestScoreFlat(b *testing.B) {
 // (tree-outer traversal, zero allocations into a reused dst); the
 // per-sample metric is what compares against the single-vector benches.
 func BenchmarkScoreBatchFlat(b *testing.B) {
-	ff := classifierForBench(b).forest.Flatten()
+	ff := classifierForBench(b).flat
 	X := forestVectorsForBench(b)
 	dst := make([]float64, len(X))
 	b.ReportAllocs()
@@ -637,9 +622,10 @@ func BenchmarkExtractBatch(b *testing.B) {
 }
 
 // Model-artifact benchmarks: the same trained ensemble deserialized from
-// its JSON wire form (full parse + node-stream rebuild) and from the flat
-// blob (header decode + checksum sweep + slab validation, no parse). CI
-// gates LoadFlatBlob/LoadForestJSON at a hard multiple.
+// its JSON wire form by LoadFlatForest (full parse + node-stream rebuild)
+// and from the flat blob (header decode + checksum sweep + slab
+// validation, no parse). CI gates LoadFlatBlob/LoadForestJSON at a hard
+// multiple.
 
 func modelArtifactsForBench(b *testing.B) (jsonBytes, blobBytes []byte) {
 	b.Helper()
@@ -655,14 +641,14 @@ func BenchmarkLoadForestJSON(b *testing.B) {
 	jsonBytes, _ := modelArtifactsForBench(b)
 	// Warm encoding/json's lazily built type caches so 1-iteration
 	// records measure steady-state load cost, not first-call setup.
-	if _, err := ml.LoadForest(bytes.NewReader(jsonBytes)); err != nil {
+	if _, err := ml.LoadFlatForest(bytes.NewReader(jsonBytes)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(jsonBytes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.LoadForest(bytes.NewReader(jsonBytes)); err != nil {
+		if _, err := ml.LoadFlatForest(bytes.NewReader(jsonBytes)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,13 +49,13 @@ func TestModelConvertRoundTrip(t *testing.T) {
 	}
 
 	// The blob-loaded classifier must score identically and drive the
-	// monitor path (scorer) without a pointer forest.
+	// monitor path (scorer) with its one flat model.
 	fromBlob, err := dynaminer.LoadFile(blobPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromBlob.Forest() != nil {
-		t.Fatal("blob-loaded classifier unexpectedly carries a pointer forest")
+	if fromBlob.Forest() != fromBlob.FlatForest() {
+		t.Fatal("Forest and FlatForest expose different models")
 	}
 	eps := dynaminer.Corpus(dynaminer.CorpusConfig{Seed: 77, Infections: 2, Benign: 2})
 	for i := range eps {

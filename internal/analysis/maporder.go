@@ -12,7 +12,7 @@ import (
 // accumulates a float, or writes serialized output produces a different
 // result on every run — exactly the class of bug that silently breaks
 // the project's bit-identical re-scoring contracts (provenance-journal
-// vectors, flat-vs-pointer forest agreement, snapshot assembly).
+// vectors, flat-vs-reference forest agreement, snapshot assembly).
 //
 // The analyzer flags a for-range over a map (resolved through go/types;
 // without type information it falls back to locally-provable map

@@ -24,16 +24,15 @@ import (
 	"dynaminer/internal/wcg"
 )
 
-// Scorer produces the infection probability of a feature vector. The ERF
-// classifier satisfies it in both representations (*ml.Forest and
-// *ml.FlatForest); New upgrades the former to the latter.
+// Scorer produces the infection probability of a feature vector. The
+// trained ERF, *ml.FlatForest, satisfies it; engines serve whatever Scorer
+// they are handed, unchanged.
 type Scorer interface {
 	Score(x []float64) float64
 }
 
 // VoteScorer is optionally implemented by scorers that can report the
-// per-tree vote tally alongside the ensemble score (*ml.Forest and
-// *ml.FlatForest both do).
+// per-tree vote tally alongside the ensemble score (*ml.FlatForest does).
 // ScoreWithVotes must accumulate in exactly the same order as Score so
 // the score it returns is bit-identical; the journal uses it to record
 // how contested each alert's verdict was.
@@ -413,16 +412,9 @@ type Engine struct {
 	ownAT obs.ActiveTrace
 }
 
-// New returns an Engine using the given trained model. A pointer-tree
-// *ml.Forest is upgraded to its flattened struct-of-arrays form here,
-// once, so every classification traverses the contiguous slabs instead of
-// chasing node pointers; the flat representation scores bit-identically
-// (pinned by ml's differential tests), so the upgrade changes latency,
-// never verdicts.
+// New returns an Engine serving the given trained model (nil for
+// extraction-only use).
 func New(cfg Config, model Scorer) *Engine {
-	if f, ok := model.(*ml.Forest); ok && f != nil {
-		model = f.Flatten()
-	}
 	cfg = cfg.withDefaults()
 	now := cfg.Now
 	if now == nil {
@@ -456,11 +448,7 @@ func (e *Engine) ModelVersion() ModelVersion { return e.models.current().version
 // model: watches armed before the swap keep scoring through their pinned
 // version, watches armed after it pick up the new one. A rejected
 // candidate (nil, wrong feature dimensionality) leaves serving untouched.
-// A pointer-tree *ml.Forest is flattened first, exactly as in New.
 func (e *Engine) SwapModel(candidate Scorer) (ModelVersion, error) {
-	if f, ok := candidate.(*ml.Forest); ok && f != nil {
-		candidate = f.Flatten()
-	}
 	return e.models.swap(candidate)
 }
 

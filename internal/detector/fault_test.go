@@ -311,7 +311,7 @@ func TestShardProcessRecovers(t *testing.T) {
 
 // trainNarrowForest trains a real ERF on deliberately 5-dimensional
 // vectors — a stand-in for a model file from an older feature schema.
-func trainNarrowForest(tb testing.TB) *ml.Forest {
+func trainNarrowForest(tb testing.TB) *ml.FlatForest {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(3))
 	ds := &ml.Dataset{}
@@ -377,28 +377,52 @@ func TestMisdimensionedModelQuarantines(t *testing.T) {
 	e.models.current().scorer.Score(make([]float64, 37))
 }
 
-// TestNewUpgradesForestToFlat pins the construction-time upgrade: a
-// pointer-tree *ml.Forest handed to New serves as a *ml.FlatForest, and
-// scorers that are not pointer forests (including a nil model for
-// extraction-only mode) pass through untouched.
-func TestNewUpgradesForestToFlat(t *testing.T) {
-	f := trainNarrowForest(t)
-	e := New(Config{}, f)
-	ff, ok := e.models.current().scorer.(*ml.FlatForest)
-	if !ok {
-		t.Fatalf("engine model is %T, want *ml.FlatForest", e.models.current().scorer)
-	}
-	x := []float64{0.5, -1, 2, 0, 1}
-	if math.Float64bits(f.Score(x)) != math.Float64bits(ff.Score(x)) {
-		t.Fatal("flattened engine model scores differently from the trained forest")
+// TestNewServesModelAsGiven pins that engines serve exactly the Scorer
+// they are handed, with no conversion at construction or swap: a trained
+// *ml.FlatForest, a custom scorer, and (for extraction-only mode) a nil
+// model all come back as the identical value, and SwapModel serves the
+// very candidate it accepted, on single and sharded engines alike.
+func TestNewServesModelAsGiven(t *testing.T) {
+	ff := trainNarrowForest(t)
+	e := New(Config{}, ff)
+	if got, ok := e.models.current().scorer.(*ml.FlatForest); !ok || got != ff {
+		t.Fatalf("engine serves %T, want the handed *ml.FlatForest", e.models.current().scorer)
 	}
 	if e := New(Config{}, nil); e.models.current().scorer != nil {
 		t.Fatalf("nil model rewritten to %T", e.models.current().scorer)
 	}
 	if e := New(Config{}, constScorer(0.4)); e.models.current().scorer != (constScorer(0.4)) {
-		t.Fatalf("non-forest scorer rewritten to %T", e.models.current().scorer)
+		t.Fatalf("custom scorer rewritten to %T", e.models.current().scorer)
 	}
-	if e := New(Config{}, (*ml.Forest)(nil)); e.models.current().scorer.(*ml.Forest) != nil {
-		t.Fatal("typed-nil forest must pass through, not be flattened")
+
+	if _, err := e.SwapModel(constScorer(0.7)); err != nil {
+		t.Fatal(err)
+	}
+	if e.models.current().scorer != (constScorer(0.7)) {
+		t.Fatalf("swapped-in custom scorer served as %T", e.models.current().scorer)
+	}
+	next := trainNarrowForest(t)
+	if _, err := e.SwapModel(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := e.models.current().scorer.(*ml.FlatForest); !ok || got != next {
+		t.Fatalf("swapped-in forest served as %T, not the candidate", e.models.current().scorer)
+	}
+	if _, err := e.SwapModel(nil); err == nil {
+		t.Fatal("nil candidate accepted by SwapModel")
+	}
+	if got, ok := e.models.current().scorer.(*ml.FlatForest); !ok || got != next {
+		t.Fatal("rejected nil candidate disturbed the serving model")
+	}
+
+	s := NewSharded(Config{Shards: 2}, ff)
+	if got, ok := s.models.current().scorer.(*ml.FlatForest); !ok || got != ff {
+		t.Fatalf("sharded engine serves %T, want the handed *ml.FlatForest", s.models.current().scorer)
+	}
+	if _, err := s.SwapModel(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.models.current().scorer.(*ml.FlatForest); !ok || got != next {
+		t.Fatalf("sharded swap served %T, not the candidate", s.models.current().scorer)
 	}
 }

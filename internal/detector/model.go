@@ -158,9 +158,6 @@ func (h *modelHolder) reload(load func() (Scorer, error)) (ModelVersion, error) 
 		h.reloadFailures.Inc()
 		return h.current().version, err
 	}
-	if f, ok := candidate.(*ml.Forest); ok && f != nil {
-		candidate = f.Flatten()
-	}
 	return h.swap(candidate)
 }
 

@@ -84,9 +84,6 @@ func (s *ShardedEngine) ModelVersion() ModelVersion { return s.models.current().
 // watches armed before the swap keep their pinned version, watches armed
 // after it score with the new model. See Engine.SwapModel.
 func (s *ShardedEngine) SwapModel(candidate Scorer) (ModelVersion, error) {
-	if f, ok := candidate.(*ml.Forest); ok && f != nil {
-		candidate = f.Flatten()
-	}
 	return s.models.swap(candidate)
 }
 

@@ -202,16 +202,17 @@ func Figure3(eps []synth.Episode) PropResult {
 		"load-centrality", "node-connectivity", "clustering-coeff",
 		"neighbor-degree", "degree-connectivity", "pagerank",
 	})
+	sc := graph.NewScratch()
 	for i := range eps {
 		g := wcg.FromTransactions(eps[i].Txs).Graph()
 		avg.add(eps[i].Infection, []float64{
-			float64(g.N()), float64(g.M()), float64(g.Diameter()),
+			float64(g.N()), float64(g.M()), float64(g.DiameterS(sc)),
 			float64(g.MaxDegree()), float64(g.Volume()), g.Density(),
-			graph.Mean(g.DegreeCentrality()), graph.Mean(g.ClosenessCentrality()),
-			graph.Mean(g.BetweennessCentrality()), graph.Mean(g.LoadCentrality()),
-			float64(g.NodeConnectivity()), g.AvgClusteringCoefficient(),
-			graph.Mean(g.AvgNeighborDegrees()), g.AvgDegreeConnectivity(),
-			graph.Mean(g.PageRank(0.85, 100, 1e-10)),
+			graph.Mean(g.DegreeCentralityInto(nil, sc)), graph.Mean(g.ClosenessCentralityInto(nil, sc)),
+			graph.Mean(g.BetweennessCentralityInto(nil, sc)), graph.Mean(g.LoadCentralityInto(nil, sc)),
+			float64(g.NodeConnectivityS(sc)), g.AvgClusteringCoefficientS(sc),
+			graph.Mean(g.AvgNeighborDegreesInto(nil, sc)), g.AvgDegreeConnectivityS(sc),
+			graph.Mean(g.PageRankInto(nil, sc, 0.85, 100, 1e-10)),
 		})
 	}
 	return avg.result("Figure 3: avg graph properties")
@@ -281,12 +282,13 @@ type SeriesResult struct {
 func Figures7to9(eps []synth.Episode) []SeriesResult {
 	metrics := []string{"avg-node-connectivity", "avg-betweenness-centrality", "avg-closeness-centrality"}
 	var inf, ben [3][]float64
+	sc := graph.NewScratch()
 	for i := range eps {
 		g := wcg.FromTransactions(eps[i].Txs).Graph()
 		vals := [3]float64{
-			float64(g.NodeConnectivity()),
-			graph.Mean(g.BetweennessCentrality()),
-			graph.Mean(g.ClosenessCentrality()),
+			float64(g.NodeConnectivityS(sc)),
+			graph.Mean(g.BetweennessCentralityInto(nil, sc)),
+			graph.Mean(g.ClosenessCentralityInto(nil, sc)),
 		}
 		for m := 0; m < 3; m++ {
 			if eps[i].Infection {
@@ -380,7 +382,7 @@ func Figure10(ds *ml.Dataset, o Options) (Figure10Result, error) {
 			testX[j] = ds.X[i]
 			labels = append(labels, ds.Y[i])
 		}
-		scores = append(scores, forest.ScoresParallel(testX, 0)...)
+		scores = append(scores, forest.ScoreBatchParallel(testX, 0)...)
 	}
 	curve := ml.ROC(scores, labels)
 	return Figure10Result{Points: curve, AUC: ml.AUC(curve)}, nil

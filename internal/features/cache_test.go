@@ -11,12 +11,15 @@ import (
 	"dynaminer/internal/wcg"
 )
 
-// plainExtract is the pre-cache extractor body, kept verbatim as the
-// oracle: Summarize plus the plain (allocating, from-scratch) graph
-// measures. The cache must reproduce its output bit for bit.
+// plainExtract is the pre-cache extractor body, kept as the oracle:
+// Summarize plus every graph measure computed from scratch on a fresh
+// graph.Scratch (the graph package pins each Scratch kernel against its
+// own reference implementation). The cache must reproduce its output bit
+// for bit.
 func plainExtract(w *wcg.WCG) []float64 {
 	s := w.Summarize()
 	g := w.Graph()
+	sc := graph.NewScratch()
 	v := make([]float64, NumFeatures)
 
 	v[0] = boolFeature(w.OriginKnown)
@@ -31,20 +34,20 @@ func plainExtract(w *wcg.WCG) []float64 {
 	v[8] = float64(g.MaxDegree())
 	v[9] = g.Density()
 	v[10] = float64(g.Volume())
-	v[11] = float64(g.Diameter())
+	v[11] = float64(g.DiameterS(sc))
 	v[12] = g.AvgInDegree()
 	v[13] = g.AvgOutDegree()
 	v[14] = g.Reciprocity()
-	v[15] = graph.Mean(g.DegreeCentrality())
-	v[16] = graph.Mean(g.ClosenessCentrality())
-	v[17] = graph.Mean(g.BetweennessCentrality())
-	v[18] = graph.Mean(g.LoadCentrality())
-	v[19] = float64(g.NodeConnectivity())
-	v[20] = g.AvgClusteringCoefficient()
-	v[21] = graph.Mean(g.AvgNeighborDegrees())
-	v[22] = g.AvgDegreeConnectivity()
-	v[23] = g.AvgNodesWithinK(knnRadius)
-	v[24] = graph.Mean(g.PageRank(0.85, 100, 1e-10))
+	v[15] = graph.Mean(g.DegreeCentralityInto(nil, sc))
+	v[16] = graph.Mean(g.ClosenessCentralityInto(nil, sc))
+	v[17] = graph.Mean(g.BetweennessCentralityInto(nil, sc))
+	v[18] = graph.Mean(g.LoadCentralityInto(nil, sc))
+	v[19] = float64(g.NodeConnectivityS(sc))
+	v[20] = g.AvgClusteringCoefficientS(sc)
+	v[21] = graph.Mean(g.AvgNeighborDegreesInto(nil, sc))
+	v[22] = g.AvgDegreeConnectivityS(sc)
+	v[23] = g.AvgNodesWithinKS(knnRadius, sc)
+	v[24] = graph.Mean(g.PageRankInto(nil, sc, 0.85, 100, 1e-10))
 
 	v[25] = float64(s.GETs)
 	v[26] = float64(s.POSTs)

@@ -24,62 +24,6 @@ func benchGraph(n int) *Digraph {
 	return g
 }
 
-func BenchmarkBetweenness200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.BetweennessCentrality()
-	}
-}
-
-func BenchmarkLoadCentrality200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.LoadCentrality()
-	}
-}
-
-func BenchmarkCloseness200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.ClosenessCentrality()
-	}
-}
-
-func BenchmarkNodeConnectivity200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.NodeConnectivity()
-	}
-}
-
-func BenchmarkPageRank200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.PageRank(0.85, 100, 1e-10)
-	}
-}
-
-func BenchmarkDiameter200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Diameter()
-	}
-}
-
-func BenchmarkCoreNumbers200(b *testing.B) {
-	g := benchGraph(200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.CoreNumbers()
-	}
-}
-
 // benchScratch runs fn against a warmed scratch so the numbers show the
 // zero-allocation steady state of the reusable workspace.
 func benchScratch(b *testing.B, fn func(g *Digraph, s *Scratch)) {

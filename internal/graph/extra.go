@@ -153,70 +153,10 @@ func (g *Digraph) StronglyConnectedComponents() [][]int {
 	return comps
 }
 
-// CoreNumbers returns the k-core number of every node in the undirected
-// simple projection: the largest k such that the node belongs to a
-// subgraph where every node has degree >= k (Batagelj-Zaveršnik peeling).
-func (g *Digraph) CoreNumbers() []int {
-	adj := g.undirectedSimple()
-	n := len(adj)
-	deg := make([]int, n)
-	maxDeg := 0
-	for u := range adj {
-		deg[u] = len(adj[u])
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	// Bucket sort nodes by degree.
-	bins := make([]int, maxDeg+2)
-	for _, d := range deg {
-		bins[d]++
-	}
-	startIdx := 0
-	for d := 0; d <= maxDeg; d++ {
-		count := bins[d]
-		bins[d] = startIdx
-		startIdx += count
-	}
-	pos := make([]int, n)
-	vert := make([]int, n)
-	for u := 0; u < n; u++ {
-		pos[u] = bins[deg[u]]
-		vert[pos[u]] = u
-		bins[deg[u]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bins[d] = bins[d-1]
-	}
-	bins[0] = 0
-
-	core := make([]int, n)
-	copy(core, deg)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		for _, u := range adj[v] {
-			if core[u] > core[v] {
-				// Move u one bucket down.
-				du := core[u]
-				pu := pos[u]
-				pw := bins[du]
-				w := vert[pw]
-				if u != w {
-					pos[u], pos[w] = pw, pu
-					vert[pu], vert[pw] = w, u
-				}
-				bins[du]++
-				core[u]--
-			}
-		}
-	}
-	return core
-}
-
 // Degeneracy is the maximum core number (the graph's degeneracy).
 func (g *Digraph) Degeneracy() int {
 	best := 0
-	for _, c := range g.CoreNumbers() {
+	for _, c := range g.CoreNumbersInto(nil, NewScratch()) {
 		if c > best {
 			best = c
 		}

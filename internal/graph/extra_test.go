@@ -107,13 +107,13 @@ func TestSCCCoversAllNodes(t *testing.T) {
 
 func TestCoreNumbers(t *testing.T) {
 	// Complete graph K4: every node has core number 3.
-	for _, c := range completeGraph(4).CoreNumbers() {
+	for _, c := range completeGraph(4).CoreNumbersInto(nil, NewScratch()) {
 		if c != 3 {
 			t.Fatalf("K4 core = %d, want 3", c)
 		}
 	}
 	// Path: all core 1.
-	for _, c := range pathGraph(5).CoreNumbers() {
+	for _, c := range pathGraph(5).CoreNumbersInto(nil, NewScratch()) {
 		if c != 1 {
 			t.Fatalf("path core = %d, want 1", c)
 		}
@@ -122,7 +122,7 @@ func TestCoreNumbers(t *testing.T) {
 	g := completeGraph(3)
 	p := g.AddNode()
 	_ = g.AddEdge(0, p)
-	cores := g.CoreNumbers()
+	cores := g.CoreNumbersInto(nil, NewScratch())
 	if cores[0] != 2 || cores[1] != 2 || cores[2] != 2 || cores[3] != 1 {
 		t.Fatalf("cores = %v", cores)
 	}
@@ -137,7 +137,7 @@ func TestCoreNumbersBoundedByDegree(t *testing.T) {
 		n := 2 + r.Intn(20)
 		g := randomGraph(n, r.Intn(5*n), r)
 		adj := g.undirectedSimple()
-		for u, c := range g.CoreNumbers() {
+		for u, c := range g.CoreNumbersInto(nil, NewScratch()) {
 			if c > len(adj[u]) || c < 0 {
 				return false
 			}

@@ -202,3 +202,15 @@ func (g *Digraph) Reciprocity() float64 {
 	}
 	return float64(recip) / float64(total)
 }
+
+// Mean is the arithmetic mean of xs, or zero when xs is empty.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}

@@ -360,7 +360,12 @@ func (s *Scratch) fanOutOrdered(n int, source func(src int, ws *passWS, buf []fl
 	}
 }
 
-// DiameterS is Diameter using scratch storage.
+// DiameterS is the longest shortest-path distance between any pair of
+// nodes in the undirected simple projection. For disconnected graphs it is
+// the maximum eccentricity over reachable pairs (the diameter of the
+// largest component by eccentricity), so it stays finite and comparable
+// between WCGs, which are frequently weakly connected but occasionally
+// fragmented.
 //
 //dynalint:hotpath
 func (g *Digraph) DiameterS(s *Scratch) int {
@@ -378,8 +383,10 @@ func (g *Digraph) DiameterS(s *Scratch) int {
 	return best
 }
 
-// DegreeCentralityInto writes DegreeCentrality into dst (resized as
-// needed) and returns it.
+// DegreeCentralityInto writes, for every node, its undirected simple
+// degree normalized by n-1 (the NetworkX convention) into dst (resized as
+// needed) and returns it. For graphs with fewer than two nodes all values
+// are zero.
 //
 //dynalint:hotpath
 func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
@@ -397,9 +404,15 @@ func (g *Digraph) DegreeCentralityInto(dst []float64, s *Scratch) []float64 {
 	return dst
 }
 
-// ClosenessCentralityInto writes ClosenessCentrality into dst and returns
-// it. Each node's value is independent of the others, so the parallel
-// fan-out is bit-identical to the sequential pass.
+// ClosenessCentralityInto writes the improved (Wasserman–Faust) closeness
+// of every node on the undirected simple projection into dst and returns
+// it:
+//
+//	C(u) = ((r-1)/(n-1)) * ((r-1)/Σ d(u,v))
+//
+// where r is the number of nodes reachable from u. Isolated nodes score 0.
+// Each node's value is independent of the others, so the parallel fan-out
+// is bit-identical to the sequential pass.
 //
 //dynalint:hotpath
 func (g *Digraph) ClosenessCentralityInto(dst []float64, s *Scratch) []float64 {
@@ -486,9 +499,11 @@ func brandesSource(adj [][]int, src int, ws *passWS, acc []float64) {
 	}
 }
 
-// BetweennessCentralityInto writes BetweennessCentrality into dst and
-// returns it, fanning the per-source Brandes passes over the worker pool
-// for graphs at or above the parallel cutoff.
+// BetweennessCentralityInto writes exact shortest-path betweenness on the
+// undirected simple projection into dst and returns it: Brandes'
+// algorithm, normalized by 2/((n-1)(n-2)) so values are comparable across
+// graph sizes. The per-source passes fan out over the worker pool for
+// graphs at or above the parallel cutoff.
 //
 //dynalint:hotpath
 func (g *Digraph) BetweennessCentralityInto(dst []float64, s *Scratch) []float64 {
@@ -569,11 +584,16 @@ func loadSource(adj [][]int, src int, ws *passWS, acc []float64) {
 	}
 }
 
-// LoadCentralityInto writes LoadCentrality into dst and returns it. Load
-// stays sequential even above the cutoff: a source adds to the same
-// accumulator slot many times during one pass, so a buffered parallel
-// merge could not reproduce the sequential summation order bit-for-bit —
-// and bit-identity with the plain implementation is the contract here.
+// LoadCentralityInto writes Goh-style load centrality on the undirected
+// simple projection into dst and returns it: a unit commodity is routed
+// from every source to every other node along shortest paths, splitting
+// equally among the predecessors at each branch, and each node accumulates
+// the load passing through it. Values are normalized by 2/((n-1)(n-2)) to
+// match NetworkX. Load stays sequential even above the cutoff: a source
+// adds to the same accumulator slot many times during one pass, so a
+// buffered parallel merge could not reproduce the sequential summation
+// order bit-for-bit — and bit-identity with the reference implementation
+// is the contract here.
 //
 //dynalint:hotpath
 func (g *Digraph) LoadCentralityInto(dst []float64, s *Scratch) []float64 {
@@ -595,10 +615,15 @@ func (g *Digraph) LoadCentralityInto(dst []float64, s *Scratch) []float64 {
 	return dst
 }
 
-// NodeConnectivityS is NodeConnectivity reusing the scratch projection,
-// the BFS buffers for the connectivity pre-checks, and the scratch's
-// max-flow workspace for the inner vertex-split Dinic runs, so a warm
-// scratch computes connectivity without allocating.
+// NodeConnectivityS is the minimum number of nodes whose removal
+// disconnects the undirected simple projection (or isolates a node),
+// computed exactly via vertex-split max-flow between a fixed
+// minimum-degree source and every non-neighbor, plus neighbor-of-source
+// pairs — the standard exact algorithm. It returns 0 for disconnected
+// graphs and n-1 for complete graphs. The scratch supplies the projection,
+// the BFS buffers for the connectivity pre-check, and the max-flow
+// workspace for the inner Dinic runs, so a warm scratch computes
+// connectivity without allocating.
 //
 //dynalint:hotpath
 func (g *Digraph) NodeConnectivityS(s *Scratch) int {
@@ -680,9 +705,10 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// AvgClusteringCoefficientS is AvgClusteringCoefficient using scratch
-// storage; the mean is accumulated in node order, matching
-// Mean(ClusteringCoefficients()).
+// AvgClusteringCoefficientS is the mean local clustering coefficient (f21)
+// on the undirected simple projection: per node, the fraction of pairs of
+// its neighbors that are themselves adjacent (nodes with degree < 2 score
+// zero), accumulated in node order.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
@@ -720,7 +746,9 @@ func (g *Digraph) AvgClusteringCoefficientS(s *Scratch) float64 {
 	return sum / float64(n)
 }
 
-// AvgNeighborDegreesInto writes AvgNeighborDegrees into dst and returns it.
+// AvgNeighborDegreesInto writes, for each node, the mean undirected simple
+// degree of its neighbors (f22) into dst and returns it. Isolated nodes
+// score zero.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
@@ -740,9 +768,12 @@ func (g *Digraph) AvgNeighborDegreesInto(dst []float64, s *Scratch) []float64 {
 	return dst
 }
 
-// AvgDegreeConnectivityS is AvgDegreeConnectivity using scratch storage:
-// per-degree sums in slice buckets, combined in ascending-degree order —
-// the same deterministic order the map-based implementation sorts into.
+// AvgDegreeConnectivityS is "average degree for connected nodes" (f23) as
+// a single feature: the NetworkX average degree connectivity on the
+// undirected simple projection (for each degree k, the mean neighbor
+// degree over nodes of degree k), averaged over the degrees present.
+// Per-degree sums live in slice buckets and combine in ascending-degree
+// order, so the low bits are deterministic.
 //
 //dynalint:hotpath
 func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
@@ -786,7 +817,10 @@ func (g *Digraph) AvgDegreeConnectivityS(s *Scratch) float64 {
 	return total / float64(degrees)
 }
 
-// AvgNodesWithinKS is AvgNodesWithinK using scratch storage.
+// AvgNodesWithinKS is the mean, over all nodes, of the number of other
+// nodes whose undirected shortest-path distance is at most k; zero for the
+// empty graph. This backs feature f24 (Avg-K-Nearest-Neighbors): "average
+// number of nodes at k-nodes distance from each node".
 //
 //dynalint:hotpath
 func (g *Digraph) AvgNodesWithinKS(k int, s *Scratch) float64 {
@@ -808,8 +842,11 @@ func (g *Digraph) AvgNodesWithinKS(k int, s *Scratch) float64 {
 	return float64(sum) / float64(n)
 }
 
-// PageRankInto writes PageRank into dst and returns it, using scratch
-// storage for the directed projection and the iteration vectors.
+// PageRankInto writes PageRank with damping factor d over the directed
+// simple projection into dst and returns it: power iteration for up to
+// iters rounds, stopping early when the L1 change drops below tol, with
+// dangling mass redistributed uniformly. The scratch holds the projection
+// and the iteration vectors. The empty graph yields dst[:0].
 //
 //dynalint:hotpath
 func (g *Digraph) PageRankInto(dst []float64, s *Scratch, d float64, iters int, tol float64) []float64 {
@@ -868,7 +905,10 @@ func (g *Digraph) PageRankInto(dst []float64, s *Scratch, d float64, iters int, 
 	return dst
 }
 
-// CoreNumbersInto writes CoreNumbers into dst and returns it.
+// CoreNumbersInto writes the k-core number of every node in the undirected
+// simple projection into dst and returns it: the largest k such that the
+// node belongs to a subgraph where every node has degree >= k
+// (Batagelj-Zaveršnik peeling).
 //
 //dynalint:hotpath
 func (g *Digraph) CoreNumbersInto(dst []int, s *Scratch) []int {

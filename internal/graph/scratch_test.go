@@ -46,27 +46,27 @@ func sameScalar(t *testing.T, name string, got, want float64) {
 	}
 }
 
-// checkScratchMatches runs every scratch variant against its plain
-// counterpart on g, reusing s across calls.
+// checkScratchMatches runs every Scratch kernel against its reference
+// implementation (oracle_test.go) on g, reusing s across calls.
 func checkScratchMatches(t *testing.T, g *Digraph, s *Scratch) {
 	t.Helper()
-	if got, want := g.DiameterS(s), g.Diameter(); got != want {
+	if got, want := g.DiameterS(s), refDiameter(g); got != want {
 		t.Fatalf("DiameterS = %d, want %d", got, want)
 	}
-	sameFloats(t, "DegreeCentrality", g.DegreeCentralityInto(nil, s), g.DegreeCentrality())
-	sameFloats(t, "ClosenessCentrality", g.ClosenessCentralityInto(nil, s), g.ClosenessCentrality())
-	sameFloats(t, "BetweennessCentrality", g.BetweennessCentralityInto(nil, s), g.BetweennessCentrality())
-	sameFloats(t, "LoadCentrality", g.LoadCentralityInto(nil, s), g.LoadCentrality())
-	if got, want := g.NodeConnectivityS(s), g.NodeConnectivity(); got != want {
+	sameFloats(t, "DegreeCentrality", g.DegreeCentralityInto(nil, s), refDegreeCentrality(g))
+	sameFloats(t, "ClosenessCentrality", g.ClosenessCentralityInto(nil, s), refClosenessCentrality(g))
+	sameFloats(t, "BetweennessCentrality", g.BetweennessCentralityInto(nil, s), refBetweennessCentrality(g))
+	sameFloats(t, "LoadCentrality", g.LoadCentralityInto(nil, s), refLoadCentrality(g))
+	if got, want := g.NodeConnectivityS(s), refNodeConnectivity(g); got != want {
 		t.Fatalf("NodeConnectivityS = %d, want %d", got, want)
 	}
-	sameScalar(t, "AvgClusteringCoefficient", g.AvgClusteringCoefficientS(s), g.AvgClusteringCoefficient())
-	sameFloats(t, "AvgNeighborDegrees", g.AvgNeighborDegreesInto(nil, s), g.AvgNeighborDegrees())
-	sameScalar(t, "AvgDegreeConnectivity", g.AvgDegreeConnectivityS(s), g.AvgDegreeConnectivity())
-	sameScalar(t, "AvgNodesWithinK", g.AvgNodesWithinKS(2, s), g.AvgNodesWithinK(2))
-	sameFloats(t, "PageRank", g.PageRankInto(nil, s, 0.85, 100, 1e-10), g.PageRank(0.85, 100, 1e-10))
+	sameScalar(t, "AvgClusteringCoefficient", g.AvgClusteringCoefficientS(s), refAvgClusteringCoefficient(g))
+	sameFloats(t, "AvgNeighborDegrees", g.AvgNeighborDegreesInto(nil, s), refAvgNeighborDegrees(g))
+	sameScalar(t, "AvgDegreeConnectivity", g.AvgDegreeConnectivityS(s), refAvgDegreeConnectivity(g))
+	sameScalar(t, "AvgNodesWithinK", g.AvgNodesWithinKS(2, s), refAvgNodesWithinK(g, 2))
+	sameFloats(t, "PageRank", g.PageRankInto(nil, s, 0.85, 100, 1e-10), refPageRank(g, 0.85, 100, 1e-10))
 	gotCore := g.CoreNumbersInto(nil, s)
-	wantCore := g.CoreNumbers()
+	wantCore := refCoreNumbers(g)
 	for i := range wantCore {
 		if gotCore[i] != wantCore[i] {
 			t.Fatalf("CoreNumbers[%d] = %d, want %d", i, gotCore[i], wantCore[i])

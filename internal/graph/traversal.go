@@ -23,24 +23,6 @@ func bfsDistances(adj [][]int, src int) []int {
 	return dist
 }
 
-// Diameter is the longest shortest-path distance between any pair of nodes
-// in the undirected simple projection. For disconnected graphs it is the
-// maximum eccentricity over reachable pairs (the diameter of the largest
-// component by eccentricity), so it stays finite and comparable between
-// WCGs, which are frequently weakly connected but occasionally fragmented.
-func (g *Digraph) Diameter() int {
-	adj := g.undirectedSimple()
-	best := 0
-	for src := range adj {
-		for _, d := range bfsDistances(adj, src) {
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // ConnectedComponents returns the weakly connected components of the graph
 // as slices of node ids, largest first.
 func (g *Digraph) ConnectedComponents() [][]int {
@@ -82,35 +64,4 @@ func (g *Digraph) IsConnected() bool {
 		return true
 	}
 	return len(g.ConnectedComponents()) == 1
-}
-
-// NodesWithinK returns, for each node, the number of other nodes whose
-// undirected shortest-path distance is at most k. This backs feature f24
-// (Avg-K-Nearest-Neighbors): "average number of nodes at k-nodes distance
-// from each node".
-func (g *Digraph) NodesWithinK(k int) []int {
-	adj := g.undirectedSimple()
-	counts := make([]int, len(adj))
-	for src := range adj {
-		for v, d := range bfsDistances(adj, src) {
-			if v != src && d > 0 && d <= k {
-				counts[src]++
-			}
-		}
-	}
-	return counts
-}
-
-// AvgNodesWithinK is the mean of NodesWithinK over all nodes; zero for the
-// empty graph.
-func (g *Digraph) AvgNodesWithinK(k int) float64 {
-	counts := g.NodesWithinK(k)
-	if len(counts) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	return float64(sum) / float64(len(counts))
 }

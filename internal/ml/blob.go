@@ -35,7 +35,7 @@ import (
 //	         p0 float64[nNodes], p1 float64[nNodes]
 //
 // Every blob accepted by the loaders passes the same semantic screens as
-// LoadForest (feature bounds, finite thresholds, leaf probabilities in
+// LoadFlatForest (feature bounds, finite thresholds, leaf probabilities in
 // [0, 1], preorder tree shape, depth cap) plus canonical-payload checks
 // (leaves carry -1/0/0, internals carry zero probabilities, right indices
 // match the preorder structure), so a loaded blob scores
@@ -70,18 +70,6 @@ func IsFlatBlob(data []byte) bool {
 
 // Config returns the training configuration the forest was built with.
 func (ff *FlatForest) Config() ForestConfig { return ff.cfg }
-
-// Config returns the training configuration the forest was built with.
-func (f *Forest) Config() ForestConfig { return f.cfg }
-
-// NumNodes returns the total node count across all trees.
-func (f *Forest) NumNodes() int {
-	n := 0
-	for _, t := range f.trees {
-		n += t.NodeCount()
-	}
-	return n
-}
 
 // blobLayout computes the canonical section offsets for a blob with the
 // given tree and node counts, returning the six {offset, count} pairs in
@@ -322,7 +310,7 @@ func parseFlatBlob(data []byte, alias bool) (*FlatForest, error) {
 	return ff, nil
 }
 
-// validateSlabs runs the LoadForest semantic screens over the decoded
+// validateSlabs runs the LoadFlatForest semantic screens over the decoded
 // slabs: every tree must be a canonical preorder node stream with in-range
 // features, finite thresholds, leaf probabilities in [0, 1], depth under
 // maxModelDepth, and right-child indices exactly matching the preorder

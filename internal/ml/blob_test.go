@@ -11,17 +11,15 @@ import (
 	"unsafe"
 )
 
-// blobFixture trains a forest, flattens it, and returns the flat form with
-// its blob encoding.
+// blobFixture trains a forest and returns it with its blob encoding.
 func blobFixture(tb testing.TB) (*FlatForest, []byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(91))
 	ds := gaussDataset(200, 6, 3, 1.5, rng)
-	f, err := TrainForest(ds, ForestConfig{NumTrees: 7, Seed: 13})
+	ff, err := TrainForest(ds, ForestConfig{NumTrees: 7, Seed: 13})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ff := f.Flatten()
 	return ff, ff.AppendFlatBlob(nil)
 }
 
@@ -292,7 +290,7 @@ func FuzzLoadFlatBlob(f *testing.F) {
 		if err := fromReader.Save(&asJSON); err != nil {
 			t.Fatalf("accepted blob does not re-save as JSON: %v", err)
 		}
-		ptr, err := LoadForest(bytes.NewReader(asJSON.Bytes()))
+		ptr, err := refLoadForest(bytes.NewReader(asJSON.Bytes()))
 		if err != nil {
 			t.Fatalf("JSON loader rejects a blob-validated model: %v", err)
 		}

@@ -51,6 +51,12 @@ func TestFeatureImportances(t *testing.T) {
 	if _, err := FeatureImportances(&Dataset{}, DefaultForestConfig()); err == nil {
 		t.Fatal("empty dataset must error")
 	}
+	// NumTrees is resolved like TrainForest's: a non-positive count is an
+	// error naming the value, never a silent default.
+	_, err = FeatureImportances(ds, ForestConfig{NumTrees: 0, Seed: 1})
+	if err == nil || err.Error() != "ml: NumTrees must be positive, got 0" {
+		t.Fatalf("NumTrees 0: err = %v", err)
+	}
 }
 
 func TestPRCurvePerfect(t *testing.T) {
@@ -127,8 +133,8 @@ func TestTrainForestOOB(t *testing.T) {
 	if _, _, err := TrainForestOOB(&Dataset{}, DefaultForestConfig()); err == nil {
 		t.Fatal("empty dataset must error")
 	}
-	if _, _, err := TrainForestOOB(ds, ForestConfig{NumTrees: -1}); err == nil {
-		t.Fatal("negative NumTrees must error")
+	if _, _, err := TrainForestOOB(ds, ForestConfig{NumTrees: -1}); err == nil || err.Error() != "ml: NumTrees must be positive, got -1" {
+		t.Fatalf("negative NumTrees: err = %v", err)
 	}
 }
 
@@ -140,7 +146,7 @@ func TestGrowViaBestSplitEquivalence(t *testing.T) {
 	t1 := TrainTree(ds, TreeConfig{}, nil)
 	t2 := TrainTree(ds, TreeConfig{}, nil)
 	for i := range ds.X {
-		if t1.Predict(ds.X[i]) != t2.Predict(ds.X[i]) {
+		if predictTree(t1, ds.X[i]) != predictTree(t2, ds.X[i]) {
 			t.Fatal("deterministic training diverged")
 		}
 	}
@@ -162,34 +168,6 @@ func TestDescribe(t *testing.T) {
 	// Raw indices without names.
 	if raw := tree.Describe(nil); !strings.Contains(raw, "if f1 <=") {
 		t.Fatalf("raw describe = %q", raw)
-	}
-}
-
-func TestForestDescribeAndUsage(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ds := gaussDataset(200, 4, 2, 2.0, rng)
-	f, err := TrainForest(ds, ForestConfig{NumTrees: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.DescribeTree(0, nil)
-	if err != nil || !strings.Contains(out, "if f") {
-		t.Fatalf("describe tree: %q, %v", out, err)
-	}
-	if _, err := f.DescribeTree(99, nil); err == nil {
-		t.Fatal("out-of-range tree must error")
-	}
-	usage := f.FeatureUsage(4)
-	total := 0
-	for _, c := range usage {
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("no feature usage recorded")
-	}
-	// Informative features (0,1) should dominate the splits.
-	if usage[0]+usage[1] <= usage[2]+usage[3] {
-		t.Fatalf("usage = %v; informative features should dominate", usage)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -8,11 +9,12 @@ import (
 	"sync/atomic"
 )
 
-// FlatForest is the ensemble in a contiguous struct-of-arrays layout: every
-// tree's nodes live preorder in one shared slab, so a traversal touches
-// sequential memory instead of chasing treeNode pointers, and the whole
-// model is four flat arrays — the representation a model-distribution
-// control plane can ship as one blob.
+// FlatForest is the Ensemble Random Forest: the one representation that
+// training emits, both artifact loaders produce, and every scorer runs.
+// Every tree's nodes live preorder in one shared struct-of-arrays slab, so
+// a traversal touches sequential memory instead of chasing pointers, and
+// the whole model is a few flat arrays — the representation a
+// model-distribution control plane can ship as one blob.
 //
 // Layout invariants (pinned by the differential tests in flat_test.go):
 //   - nodes are preorder per tree; tree t occupies [treeStart[t],
@@ -22,12 +24,11 @@ import (
 //   - a leaf has feature[i] == -1 and carries its class probabilities in
 //     p0[i]/p1[i]; threshold and right are zero.
 //
-// Score and ScoreWithVotes accumulate per-tree leaf probabilities in tree
-// order and divide once, exactly like *Forest — the two are bit-identical
-// (math.Float64bits) on every input, so a FlatForest can replace the
-// pointer forest anywhere, including under the detector's journal rescoring
-// contract. FlatForest is immutable after construction and safe for
-// concurrent use.
+// Score, ScoreWithVotes and the batch scorers accumulate per-tree leaf
+// probabilities in tree order and divide once, so all of them agree
+// bit-for-bit (math.Float64bits) on every input — the detector's journal
+// rescoring contract relies on that. FlatForest is immutable after
+// construction and safe for concurrent use.
 type FlatForest struct {
 	feature   []int32
 	threshold []float64
@@ -38,23 +39,38 @@ type FlatForest struct {
 	nf        int
 }
 
-// Flatten converts the pointer forest into its contiguous representation.
-func (f *Forest) Flatten() *FlatForest {
-	nodes := 0
-	for _, t := range f.trees {
-		nodes += t.NodeCount()
-	}
-	ff := &FlatForest{
+// scoresParallelCutoff is the batch size below which the fan-out overhead
+// outweighs the tree walks and ScoreBatchParallel stays sequential.
+const scoresParallelCutoff = 256
+
+// scoreChunk is the number of samples a worker claims at a time: large
+// enough to amortize the atomic increment, small enough to balance load
+// across forests with uneven tree depths.
+const scoreChunk = 64
+
+// newFlatForest returns an empty forest with slab capacity for the given
+// tree and node counts, ready for preorder appends.
+func newFlatForest(trees, nodes int, cfg ForestConfig, nf int) *FlatForest {
+	return &FlatForest{
 		feature:   make([]int32, 0, nodes),
 		threshold: make([]float64, 0, nodes),
 		right:     make([]int32, 0, nodes),
 		p0:        make([]float64, 0, nodes),
 		p1:        make([]float64, 0, nodes),
-		treeStart: make([]int32, 0, len(f.trees)+1),
-		cfg:       f.cfg,
-		nf:        f.nf,
+		treeStart: make([]int32, 0, trees+1),
+		cfg:       cfg,
+		nf:        nf,
 	}
-	for _, t := range f.trees {
+}
+
+// flattenTrees lays freshly trained pointer trees out preorder in one slab.
+func flattenTrees(trees []*Tree, cfg ForestConfig, nf int) *FlatForest {
+	nodes := 0
+	for _, t := range trees {
+		nodes += t.NodeCount()
+	}
+	ff := newFlatForest(len(trees), nodes, cfg, nf)
+	for _, t := range trees {
 		ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
 		ff.flattenNode(t.root)
 	}
@@ -123,8 +139,8 @@ func (ff *FlatForest) leafFor(t int, x []float64) int32 {
 	}
 }
 
-// Score returns the averaged probability that x is an infection —
-// bit-identical to Forest.Score.
+// Score returns the averaged probability that x is an infection: the mean
+// of every tree's leaf P(infection).
 //
 //dynalint:hotpath
 func (ff *FlatForest) Score(x []float64) float64 {
@@ -137,10 +153,11 @@ func (ff *FlatForest) Score(x []float64) float64 {
 	return sum / float64(nt)
 }
 
-// ScoreWithVotes returns the ensemble score with the per-tree vote tally,
-// accumulating in exactly the same order as Score (and as the pointer
-// forest), so the score is bit-identical — the detector's alert journal
-// relies on that.
+// ScoreWithVotes returns the ensemble score with the per-tree vote tally:
+// how many trees put the infection class above 0.5 for x. For trained
+// leaves (p1 = c1/n) that is exactly the trees whose majority class is
+// infection. The score accumulates in exactly the same order as Score, so
+// it is bit-identical — the detector's alert journal relies on that.
 //
 //dynalint:hotpath
 func (ff *FlatForest) ScoreWithVotes(x []float64) (score float64, votes, trees int) {
@@ -251,10 +268,9 @@ func (ff *FlatForest) ScoreBatchParallel(X [][]float64, workers int) []float64 {
 	return out
 }
 
-// Save serializes the flat forest in the same wire format as Forest.Save:
-// preorder node arrays per tree. The output is byte-identical to saving
-// the pointer forest the FlatForest was flattened from, so either
-// representation loads from either loader.
+// Save serializes the forest as the v1 JSON wire format: preorder node
+// arrays per tree, which LoadFlatForest reads back byte-for-byte (Save →
+// load → Save is a fixpoint).
 func (ff *FlatForest) Save(w io.Writer) error {
 	wire := forestWire{Version: forestWireVersion, Features: ff.nf, Config: ff.cfg}
 	nt := ff.NumTrees()
@@ -269,14 +285,20 @@ func (ff *FlatForest) Save(w io.Writer) error {
 		}
 		wire.Trees = append(wire.Trees, tw)
 	}
-	return writeForestWire(w, wire)
+	if err := json.NewEncoder(w).Encode(wire); err != nil {
+		return fmt.Errorf("ml: save forest: %w", err)
+	}
+	return nil
 }
 
-// LoadFlatForest deserializes a forest written by Forest.Save or
-// FlatForest.Save straight into the contiguous representation — the
+// LoadFlatForest is the JSON model loader: it deserializes a forest
+// written by Save straight into the contiguous representation — the
 // preorder wire nodes are the slab, only the right-child indices are
-// reconstructed. The node stream is validated like LoadForest: feature
-// bounds, finite thresholds, probability ranges, tree shape, and depth.
+// reconstructed. Node streams are validated semantically: feature bounds
+// against the trained dimensionality, finite thresholds, leaf
+// probabilities in [0, 1], tree shape and bounded depth, so a corrupt or
+// adversarial model file is rejected here instead of panicking at serve
+// time.
 func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 	wire, err := readForestWire(r)
 	if err != nil {
@@ -286,16 +308,7 @@ func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 	for _, tw := range wire.Trees {
 		nodes += len(tw.Nodes)
 	}
-	ff := &FlatForest{
-		feature:   make([]int32, 0, nodes),
-		threshold: make([]float64, 0, nodes),
-		right:     make([]int32, 0, nodes),
-		p0:        make([]float64, 0, nodes),
-		p1:        make([]float64, 0, nodes),
-		treeStart: make([]int32, 0, len(wire.Trees)+1),
-		cfg:       wire.Config,
-		nf:        wire.Features,
-	}
+	ff := newFlatForest(len(wire.Trees), nodes, wire.Config, wire.Features)
 	for ti, tw := range wire.Trees {
 		ff.treeStart = append(ff.treeStart, int32(len(ff.feature)))
 		if err := ff.appendTree(tw.Nodes, wire.Features); err != nil {
@@ -309,7 +322,7 @@ func LoadFlatForest(r io.Reader) (*FlatForest, error) {
 // appendTree validates one preorder node stream and appends it to the
 // slab, patching right-child indices with an explicit stack (no recursion,
 // so adversarial streams cannot exhaust the goroutine stack; depth is
-// bounded by maxModelDepth like the pointer loader).
+// bounded by maxModelDepth).
 func (ff *FlatForest) appendTree(nodes []nodeWire, features int) error {
 	base := int32(len(ff.feature))
 	// pending holds slab indices of internal nodes: awaiting[i] false while

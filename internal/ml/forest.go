@@ -27,15 +27,6 @@ func DefaultForestConfig() ForestConfig {
 	return ForestConfig{NumTrees: 20, Seed: 1}
 }
 
-// Forest is an Ensemble Random Forest. Its Predict combines trees by
-// averaging their probabilistic predictions — the variance-reducing choice
-// the paper makes over majority voting.
-type Forest struct {
-	trees []*Tree
-	cfg   ForestConfig
-	nf    int // feature dimensionality the forest was trained on
-}
-
 // LogMaxFeatures is the paper's N_f rule: log2(numFeatures) + 1.
 func LogMaxFeatures(numFeatures int) int {
 	if numFeatures <= 1 {
@@ -44,8 +35,15 @@ func LogMaxFeatures(numFeatures int) int {
 	return int(math.Log2(float64(numFeatures))) + 1
 }
 
-// TrainForest trains the ensemble on ds.
-func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
+// trainTrees is the one bootstrap-and-grow loop behind TrainForest,
+// TrainForestOOB and FeatureImportances. It validates ds, resolves cfg
+// against it once, and grows cfg.NumTrees CART trees, each on a bootstrap
+// sample of ds with N_f candidate features per split. imp, when non-nil,
+// accumulates every tree's impurity decreases; grown, when non-nil, sees
+// each tree with its bootstrap indices as soon as it exists. The RNG
+// stream (a bootstrap draw, then that tree's feature subsampling, tree by
+// tree) is the same for every caller, so equal configs grow equal trees.
+func trainTrees(ds *Dataset, cfg ForestConfig, imp []float64, grown func(t *Tree, boot []int)) ([]*Tree, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,88 +54,79 @@ func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
 	if maxF <= 0 {
 		maxF = LogMaxFeatures(ds.NumFeatures())
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{cfg: cfg, trees: make([]*Tree, cfg.NumTrees), nf: ds.NumFeatures()}
 	treeCfg := TreeConfig{
 		MaxFeatures:    maxF,
 		MinSamplesLeaf: cfg.MinSamplesLeaf,
 		MaxDepth:       cfg.MaxDepth,
 	}
-	for i := range f.trees {
-		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		f.trees[i] = TrainTree(sample, treeCfg, rng)
-	}
-	return f, nil
-}
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// NumFeatures returns the feature dimensionality the forest was trained
-// on (0 for forests loaded from files written before versioned metadata).
-func (f *Forest) NumFeatures() int { return f.nf }
-
-// checkDim guards tree traversal against mis-dimensioned vectors: a short
-// vector would otherwise die as a bare index-out-of-range deep inside
-// PredictProba. The named panic lets the detector's quarantine ladder
-// catch and attribute the fault. Forests loaded from files written before
-// versioned metadata have nf == 0 and stay unguarded.
-func (f *Forest) checkDim(x []float64) {
-	if f.nf > 0 && len(x) != f.nf {
-		panic(fmt.Sprintf("ml: Forest.Score: feature vector has %d features, forest was trained on %d", len(x), f.nf))
-	}
-}
-
-// Score returns the averaged probability that x is an infection: the mean
-// of P(infection) over all trees.
-func (f *Forest) Score(x []float64) float64 {
-	f.checkDim(x)
-	sum := 0.0
-	for _, t := range f.trees {
-		sum += t.PredictProba(x)[LabelInfection]
-	}
-	return sum / float64(len(f.trees))
-}
-
-// ScoreWithVotes returns the ensemble score together with the per-tree
-// vote tally: how many of the ensemble's trees put the infection class
-// above 0.5 for x. The score accumulates in exactly the same order as
-// Score, so the two are bit-identical — the detector's alert journal
-// relies on that to record the precise decision value.
-func (f *Forest) ScoreWithVotes(x []float64) (score float64, votes, trees int) {
-	f.checkDim(x)
-	sum := 0.0
-	for _, t := range f.trees {
-		p := t.PredictProba(x)[LabelInfection]
-		sum += p
-		if p > 0.5 {
-			votes++
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	trees := make([]*Tree, cfg.NumTrees)
+	for i := range trees {
+		boot := bootstrap(ds.Len(), rng)
+		trees[i] = trainTree(ds.Subset(boot), treeCfg, rng, imp)
+		if grown != nil {
+			grown(trees[i], boot)
 		}
 	}
-	return sum / float64(len(f.trees)), votes, len(f.trees)
+	return trees, nil
 }
 
-// Predict classifies x by probability averaging with a 0.5 threshold.
-func (f *Forest) Predict(x []float64) int {
-	if f.Score(x) > 0.5 {
-		return LabelInfection
+// TrainForest trains the Ensemble Random Forest on ds and returns it in
+// the flat form every scorer and artifact uses. Its Score combines trees
+// by averaging their probabilistic predictions — the variance-reducing
+// choice the paper makes over majority voting. The pointer trees exist
+// only while training; they are flattened once and dropped.
+func TrainForest(ds *Dataset, cfg ForestConfig) (*FlatForest, error) {
+	trees, err := trainTrees(ds, cfg, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return LabelBenign
+	return flattenTrees(trees, cfg, ds.NumFeatures()), nil
 }
 
-// PredictVote classifies x by per-tree majority vote — the standard random
-// forest rule the paper's ERF deliberately replaces. Kept for the voting
-// ablation experiment.
-func (f *Forest) PredictVote(x []float64) int {
-	f.checkDim(x)
-	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) == LabelInfection {
-			votes++
+// TrainForestOOB trains the ensemble and additionally estimates its
+// generalization accuracy from out-of-bag samples: each sample is scored
+// only by the trees whose bootstrap excluded it. The returned error rate
+// is 1 - OOB accuracy; samples never out-of-bag are skipped.
+func TrainForestOOB(ds *Dataset, cfg ForestConfig) (*FlatForest, float64, error) {
+	n := ds.Len()
+	sums := make([]float64, n)
+	votes := make([]int, n)
+	inBag := make([]bool, n)
+	trees, err := trainTrees(ds, cfg, nil, func(t *Tree, boot []int) {
+		for j := range inBag {
+			inBag[j] = false
+		}
+		for _, b := range boot {
+			inBag[b] = true
+		}
+		for j := 0; j < n; j++ {
+			if !inBag[j] {
+				sums[j] += t.PredictProba(ds.X[j])[LabelInfection]
+				votes[j]++
+			}
+		}
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	wrong, counted := 0, 0
+	for j := 0; j < n; j++ {
+		if votes[j] == 0 {
+			continue
+		}
+		counted++
+		pred := LabelBenign
+		if sums[j]/float64(votes[j]) > 0.5 {
+			pred = LabelInfection
+		}
+		if pred != ds.Y[j] {
+			wrong++
 		}
 	}
-	if 2*votes > len(f.trees) {
-		return LabelInfection
+	oobErr := 0.0
+	if counted > 0 {
+		oobErr = float64(wrong) / float64(counted)
 	}
-	return LabelBenign
+	return flattenTrees(trees, cfg, ds.NumFeatures()), oobErr, nil
 }

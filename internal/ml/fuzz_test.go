@@ -8,12 +8,14 @@ import (
 	"testing"
 )
 
-// FuzzLoadForest throws arbitrary bytes at both loaders. The invariants:
-// neither loader may panic; both must agree on accepting or rejecting the
-// input; and any model that loads must score without panicking, with
-// bit-identical results from the pointer and flat representations — i.e.
-// load-time validation is strong enough that nothing semantically broken
-// reaches the serve path.
+// FuzzLoadForest throws arbitrary bytes at the JSON model loader,
+// LoadFlatForest, and at the test-only recursive reference decoder
+// (refLoadForest). The invariants: neither may panic; both must agree on
+// accepting or rejecting the input; any model that loads must score
+// without panicking, bit-identically under the flat slab walk and the
+// reference pointer walk, within [0, 1] — i.e. load-time validation is
+// strong enough that nothing semantically broken reaches the serve path —
+// and Save → load → Save must reach a byte fixpoint.
 func FuzzLoadForest(f *testing.F) {
 	rng := rand.New(rand.NewSource(12))
 	ds := gaussDataset(80, 5, 2, 1.5, rng)
@@ -33,12 +35,12 @@ func FuzzLoadForest(f *testing.F) {
 	f.Add([]byte(strings.Repeat(`{"f":0,"t":0.5},`, 64)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ptr, perr := LoadForest(bytes.NewReader(data))
+		ref, rerr := refLoadForest(bytes.NewReader(data))
 		flat, ferr := LoadFlatForest(bytes.NewReader(data))
-		if (perr == nil) != (ferr == nil) {
-			t.Fatalf("loaders disagree: pointer err %v, flat err %v", perr, ferr)
+		if (rerr == nil) != (ferr == nil) {
+			t.Fatalf("loaders disagree: reference err %v, flat err %v", rerr, ferr)
 		}
-		if perr != nil {
+		if ferr != nil {
 			return
 		}
 		// Any accepted model must serve: probe with the declared
@@ -59,13 +61,27 @@ func FuzzLoadForest(f *testing.F) {
 		for i := range x {
 			x[i] = float64(i%7) - 3
 		}
-		ps := ptr.Score(x)
+		rs := ref.Score(x)
 		fs := flat.Score(x)
-		if math.Float64bits(ps) != math.Float64bits(fs) {
-			t.Fatalf("loaded representations score differently: %v vs %v", ps, fs)
+		if math.Float64bits(rs) != math.Float64bits(fs) {
+			t.Fatalf("flat and reference walks score differently: %v vs %v", fs, rs)
 		}
-		if math.IsNaN(ps) || ps < 0 || ps > 1 {
-			t.Fatalf("validated model scored %v, outside [0, 1]", ps)
+		if math.IsNaN(fs) || fs < 0 || fs > 1 {
+			t.Fatalf("validated model scored %v, outside [0, 1]", fs)
+		}
+		var once, twice bytes.Buffer
+		if err := flat.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadFlatForest(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("saved model does not reload: %v", err)
+		}
+		if err := again.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("Save -> LoadFlatForest -> Save is not a byte fixpoint")
 		}
 	})
 }

@@ -5,20 +5,6 @@ import (
 	"sort"
 )
 
-// trainTreeWithImportance grows a CART tree while accumulating each
-// feature's mean-decrease-in-impurity contribution into imp (weighted Gini
-// gain, normalized by the root sample count).
-func trainTreeWithImportance(ds *Dataset, cfg TreeConfig, rng *rand.Rand, imp []float64) *Tree {
-	cfg = cfg.withDefaults()
-	t := &Tree{cfg: cfg}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = growTracked(ds, idx, cfg, rng, 0, imp, ds.Len(), newTrainScratch(ds))
-	return t
-}
-
 // growTracked grows the subtree over the sample indices idx, recording
 // impurity decreases into imp when non-nil. sc is the per-training
 // scratch every split borrows its buffers from.
@@ -104,26 +90,9 @@ func bestSplit(ds *Dataset, idx []int, counts [numClasses]int, cfg TreeConfig, r
 // the per-feature mean decrease in impurity, normalized to sum to 1.
 // Deterministic for a fixed config and dataset.
 func FeatureImportances(ds *Dataset, cfg ForestConfig) ([]float64, error) {
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.NumTrees <= 0 {
-		cfg.NumTrees = 20
-	}
-	maxF := cfg.MaxFeatures
-	if maxF <= 0 {
-		maxF = LogMaxFeatures(ds.NumFeatures())
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	imp := make([]float64, ds.NumFeatures())
-	treeCfg := TreeConfig{
-		MaxFeatures:    maxF,
-		MinSamplesLeaf: cfg.MinSamplesLeaf,
-		MaxDepth:       cfg.MaxDepth,
-	}
-	for i := 0; i < cfg.NumTrees; i++ {
-		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		trainTreeWithImportance(sample, treeCfg, rng, imp)
+	if _, err := trainTrees(ds, cfg, imp, nil); err != nil {
+		return nil, err
 	}
 	sum := 0.0
 	for _, v := range imp {

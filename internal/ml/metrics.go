@@ -134,11 +134,9 @@ type EvalResult struct {
 
 // Evaluate scores X with the forest, thresholds at 0.5 for the confusion
 // matrix, and computes TPR/FPR/F-score plus ROC area. Scoring runs through
-// the flattened representation's tree-outer batch kernel — bit-identical
-// to the pointer walk by the FlatForest contract, at roughly half the
-// per-sample cost.
-func Evaluate(f *Forest, X [][]float64, y []int) EvalResult {
-	scores := f.Flatten().ScoreBatchParallel(X, 0)
+// the tree-outer batch kernel, bit-identical per sample to Score.
+func Evaluate(f *FlatForest, X [][]float64, y []int) EvalResult {
+	scores := f.ScoreBatchParallel(X, 0)
 	var c Confusion
 	for i, s := range scores {
 		pred := LabelBenign

@@ -105,7 +105,7 @@ func TestTreeSeparableData(t *testing.T) {
 	}
 	tree := TrainTree(ds, TreeConfig{}, nil)
 	for i, x := range ds.X {
-		if tree.Predict(x) != ds.Y[i] {
+		if predictTree(tree, x) != ds.Y[i] {
 			t.Fatalf("misclassified training sample %d", i)
 		}
 	}
@@ -127,7 +127,7 @@ func TestTreePureLeaf(t *testing.T) {
 	if tree.Depth() != 0 {
 		t.Fatal("pure dataset must produce a single leaf")
 	}
-	if tree.Predict([]float64{99}) != 1 {
+	if predictTree(tree, []float64{99}) != 1 {
 		t.Fatal("pure leaf prediction wrong")
 	}
 }

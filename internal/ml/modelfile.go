@@ -3,16 +3,26 @@ package ml
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 )
 
-// LoadModelFile reads a trained model from path, sniffing the format from
-// the leading bytes: the DMFB magic selects the flat-blob loader, anything
-// else is parsed as JSON (and flattened). Both routes run the full
-// semantic screens — feature bounds, finite thresholds, preorder shape,
-// depth cap, canonical payloads — so a forest this returns is exactly as
-// validated as one from LoadForest or LoadFlatBlob. This is the loader the
-// detector's hot-reload path uses: a candidate model is fully screened
+// LoadModel reads a trained model in either artifact form, sniffing the
+// format from the leading bytes: the DMFB magic selects LoadFlatBlob,
+// anything else is parsed as JSON by LoadFlatForest. Both routes run the
+// full semantic screens — feature bounds, finite thresholds, preorder
+// shape, depth cap, canonical payloads — so every model this returns is
+// equally validated.
+func LoadModel(r io.Reader) (*FlatForest, error) {
+	br := bufio.NewReader(r)
+	if prefix, err := br.Peek(len(flatBlobMagic)); err == nil && IsFlatBlob(prefix) {
+		return LoadFlatBlob(br)
+	}
+	return LoadFlatForest(br)
+}
+
+// LoadModelFile reads a model file through LoadModel. This is the loader
+// the detector's hot-reload path uses: a candidate model is fully screened
 // before it can ever be swapped into a running engine.
 func LoadModelFile(path string) (*FlatForest, error) {
 	f, err := os.Open(path)
@@ -20,13 +30,5 @@ func LoadModelFile(path string) (*FlatForest, error) {
 		return nil, fmt.Errorf("ml: load model: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if prefix, err := br.Peek(len(flatBlobMagic)); err == nil && IsFlatBlob(prefix) {
-		return LoadFlatBlob(br)
-	}
-	forest, err := LoadForest(br)
-	if err != nil {
-		return nil, err
-	}
-	return forest.Flatten(), nil
+	return LoadModel(f)
 }

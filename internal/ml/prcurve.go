@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math/rand"
 	"sort"
 )
 
@@ -62,70 +61,3 @@ func AveragePrecision(curve []PRPoint) float64 {
 	}
 	return area
 }
-
-// TrainForestOOB trains the ensemble and additionally estimates its
-// generalization accuracy from out-of-bag samples: each sample is scored
-// only by the trees whose bootstrap excluded it. The returned error rate
-// is 1 - OOB accuracy; samples never out-of-bag are skipped.
-func TrainForestOOB(ds *Dataset, cfg ForestConfig) (*Forest, float64, error) {
-	if err := ds.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if cfg.NumTrees <= 0 {
-		return nil, 0, errNumTrees(cfg.NumTrees)
-	}
-	maxF := cfg.MaxFeatures
-	if maxF <= 0 {
-		maxF = LogMaxFeatures(ds.NumFeatures())
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{cfg: cfg, trees: make([]*Tree, cfg.NumTrees), nf: ds.NumFeatures()}
-	treeCfg := TreeConfig{
-		MaxFeatures:    maxF,
-		MinSamplesLeaf: cfg.MinSamplesLeaf,
-		MaxDepth:       cfg.MaxDepth,
-	}
-	n := ds.Len()
-	sums := make([]float64, n)
-	votes := make([]int, n)
-	inBag := make([]bool, n)
-	for i := range f.trees {
-		boot := bootstrap(n, rng)
-		f.trees[i] = TrainTree(ds.Subset(boot), treeCfg, rng)
-		for j := range inBag {
-			inBag[j] = false
-		}
-		for _, b := range boot {
-			inBag[b] = true
-		}
-		for j := 0; j < n; j++ {
-			if !inBag[j] {
-				sums[j] += f.trees[i].PredictProba(ds.X[j])[LabelInfection]
-				votes[j]++
-			}
-		}
-	}
-	wrong, counted := 0, 0
-	for j := 0; j < n; j++ {
-		if votes[j] == 0 {
-			continue
-		}
-		counted++
-		pred := LabelBenign
-		if sums[j]/float64(votes[j]) > 0.5 {
-			pred = LabelInfection
-		}
-		if pred != ds.Y[j] {
-			wrong++
-		}
-	}
-	oobErr := 0.0
-	if counted > 0 {
-		oobErr = float64(wrong) / float64(counted)
-	}
-	return f, oobErr, nil
-}
-
-type errNumTrees int
-
-func (e errNumTrees) Error() string { return "ml: NumTrees must be positive" }

@@ -19,7 +19,7 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadForest(&buf)
+	g, err := LoadFlatForest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,36 +38,37 @@ func TestForestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadForestErrors(t *testing.T) {
-	if _, err := LoadForest(strings.NewReader("not json")); err == nil {
+	if err := loadBoth(t, "not json"); err == nil {
 		t.Fatal("garbage must error")
 	}
-	if _, err := LoadForest(strings.NewReader(`{"version":99,"trees":[{"nodes":[]}]}`)); err == nil {
+	if err := loadBoth(t, `{"version":99,"trees":[{"nodes":[]}]}`); err == nil {
 		t.Fatal("bad version must error")
 	}
-	if _, err := LoadForest(strings.NewReader(`{"version":1,"trees":[]}`)); err == nil {
+	if err := loadBoth(t, `{"version":1,"trees":[]}`); err == nil {
 		t.Fatal("empty forest must error")
 	}
 	// Truncated node stream.
-	if _, err := LoadForest(strings.NewReader(`{"version":1,"trees":[{"nodes":[{"f":0,"t":1}]}]}`)); err == nil {
+	if err := loadBoth(t, `{"version":1,"trees":[{"nodes":[{"f":0,"t":1}]}]}`); err == nil {
 		t.Fatal("truncated tree must error")
 	}
 	// Trailing nodes.
 	trailing := `{"version":1,"trees":[{"nodes":[{"leaf":true,"p0":1},{"leaf":true,"p1":1}]}]}`
-	if _, err := LoadForest(strings.NewReader(trailing)); err == nil {
+	if err := loadBoth(t, trailing); err == nil {
 		t.Fatal("trailing nodes must error")
 	}
 }
 
-// loadBoth runs both loaders over the same document and asserts they agree
-// on rejection; it returns the pointer loader's error.
+// loadBoth runs LoadFlatForest and the recursive reference decoder over
+// the same document and asserts they agree on rejection; it returns the
+// loader's error.
 func loadBoth(t *testing.T, doc string) error {
 	t.Helper()
-	_, perr := LoadForest(strings.NewReader(doc))
+	_, rerr := refLoadForest(strings.NewReader(doc))
 	_, ferr := LoadFlatForest(strings.NewReader(doc))
-	if (perr == nil) != (ferr == nil) {
-		t.Fatalf("loaders disagree on %q: pointer %v, flat %v", doc, perr, ferr)
+	if (rerr == nil) != (ferr == nil) {
+		t.Fatalf("loaders disagree on %q: reference %v, flat %v", doc, rerr, ferr)
 	}
-	return perr
+	return ferr
 }
 
 // TestLoadForestSemanticValidation pins the load-time screens added after
@@ -114,11 +115,11 @@ func TestLoadForestNonFiniteThreshold(t *testing.T) {
 	}
 }
 
-// TestLoadForestDepthBound feeds both loaders an adversarially deep
-// left-linear chain. Before the bound, the recursive unflattener would
-// recurse once per node — a large enough stream could exhaust the
-// goroutine stack; now anything past maxModelDepth is rejected with a
-// clear error.
+// TestLoadForestDepthBound feeds the loader and the recursive reference
+// decoder an adversarially deep left-linear chain. Before the bound, a
+// recursive decoder would recurse once per node — a large enough stream
+// could exhaust the goroutine stack; now anything past maxModelDepth is
+// rejected with a clear error.
 func TestLoadForestDepthBound(t *testing.T) {
 	deepChain := func(depth int) string {
 		var sb strings.Builder
@@ -158,7 +159,7 @@ func TestSaveLoadPreservesFeatureCount(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadForest(&buf)
+	g, err := LoadFlatForest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,21 +36,25 @@ type treeNode struct {
 // Tree is a trained CART decision tree predicting class probabilities.
 type Tree struct {
 	root *treeNode
-	cfg  TreeConfig
 }
 
 // TrainTree grows a CART tree on ds using Gini impurity. rng drives the
 // per-split feature subsampling (pass nil for deterministic use of all
 // features).
 func TrainTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
+	return trainTree(ds, cfg, rng, nil)
+}
+
+// trainTree is TrainTree that also accumulates each feature's
+// mean-decrease-in-impurity contribution into imp when it is non-nil
+// (weighted Gini gain, normalized by the root sample count).
+func trainTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand, imp []float64) *Tree {
 	cfg = cfg.withDefaults()
-	t := &Tree{cfg: cfg}
 	idx := make([]int, ds.Len())
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = growTracked(ds, idx, cfg, rng, 0, nil, len(idx), newTrainScratch(ds))
-	return t
+	return &Tree{root: growTracked(ds, idx, cfg, rng, 0, imp, len(idx), newTrainScratch(ds))}
 }
 
 func classCounts(ds *Dataset, idx []int) [numClasses]int {
@@ -137,15 +141,6 @@ func (t *Tree) PredictProba(x []float64) [numClasses]float64 {
 		}
 	}
 	return n.probs
-}
-
-// Predict returns the majority class for the sample.
-func (t *Tree) Predict(x []float64) int {
-	p := t.PredictProba(x)
-	if p[LabelInfection] > p[LabelBenign] {
-		return LabelInfection
-	}
-	return LabelBenign
 }
 
 // Depth returns the depth of the tree (a single leaf has depth 0).
