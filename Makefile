@@ -24,12 +24,13 @@ lint:
 # package that spawns goroutines (the root package covers the monitor
 # janitor, internal/proxy the retry/breaker paths, internal/chaos the
 # fault-injection soak, internal/obs the admin server and sharded
-# counters, internal/ml the parallel batch scorer). Slower; run before
-# touching engine or proxy locking.
+# counters, internal/ml the parallel batch scorer, internal/pcap the
+# shared assembler pool). Slower; run before touching engine or proxy
+# locking.
 tier2:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dynalint -root .
-	$(GO) test -race . ./cmd/dynaminer ./internal/detector ./internal/proxy ./internal/httpstream ./internal/chaos ./internal/obs ./internal/ml
+	$(GO) test -race . ./cmd/dynaminer ./internal/detector ./internal/proxy ./internal/httpstream ./internal/chaos ./internal/obs ./internal/ml ./internal/pcap
 
 # Chaos: the deterministic fault-injection soak (fixed seeds, see
 # internal/chaos and DESIGN.md "Fault tolerance"): seeded synth episodes
@@ -40,9 +41,11 @@ chaos:
 	$(GO) test -race -count 1 -v -run 'TestChaosSoak' ./internal/chaos
 
 # Fuzz smoke: run each httpstream parser fuzz target for FUZZTIME on top
-# of the checked-in seed corpus (testdata/fuzz), the model-file loader
-# differentials, and the wcg body-redirect sniffer targets (the decoder,
-# the sniffer, and the sniffer's differential against its regex oracle).
+# of the checked-in seed corpus (testdata/fuzz; FuzzExtractPair is a
+# differential against the io.ReadAll reference parser), the capture-file
+# readers and the frame decoder, the model-file loader differentials, and
+# the wcg body-redirect sniffer targets (the decoder, the sniffer, and the
+# sniffer's differential against its regex oracle).
 # Regenerate the synth seeds with
 # DYNAMINER_WRITE_FUZZ_CORPUS=1 go test ./internal/synth.
 FUZZTIME ?= 10s
@@ -50,6 +53,8 @@ fuzz:
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseRequests$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzParseResponses$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/httpstream -run '^$$' -fuzz '^FuzzExtractPair$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReadAllAuto$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadForest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml -run '^$$' -fuzz '^FuzzLoadFlatBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wcg -run '^$$' -fuzz '^FuzzDeobfuscate$$' -fuzztime $(FUZZTIME)

@@ -1,7 +1,6 @@
 package httpstream
 
 import (
-	"net/netip"
 	"testing"
 
 	"dynaminer/internal/pcap"
@@ -54,18 +53,21 @@ func FuzzParseResponses(f *testing.F) {
 	})
 }
 
+// FuzzExtractPair holds ExtractPair to the io.ReadAll reference
+// (refExtractPair): every Transaction field must match. Each malformed
+// seed is tried as the response stream after a single GET and after a
+// pipelined HEAD/GET/GET (so HEAD and status-only framing meet every
+// seed), and as the request stream.
 func FuzzExtractPair(f *testing.F) {
+	pipelined := []byte("HEAD /h HTTP/1.1\r\nHost: a\r\n\r\n" +
+		"GET /1 HTTP/1.1\r\nHost: a\r\n\r\n" +
+		"GET /2 HTTP/1.1\r\nHost: a\r\n\r\n")
 	for _, s := range malformedSeeds {
 		f.Add([]byte("GET / HTTP/1.1\r\nHost: a\r\n\r\n"), []byte(s))
+		f.Add(pipelined, []byte(s))
 		f.Add([]byte(s), []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"))
 	}
-	key := pcap.FlowKey{
-		SrcIP:   netip.MustParseAddr("10.0.0.5"),
-		DstIP:   netip.MustParseAddr("203.0.113.80"),
-		SrcPort: 49200,
-		DstPort: 80,
-	}
 	f.Fuzz(func(t *testing.T, creq, sresp []byte) {
-		ExtractPair(&pcap.Stream{Key: key, Data: creq}, &pcap.Stream{Key: key.Reverse(), Data: sresp})
+		checkMatchesReference(t, &pcap.Stream{Key: testKey, Data: creq}, &pcap.Stream{Key: testKey.Reverse(), Data: sresp})
 	})
 }

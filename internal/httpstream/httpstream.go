@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -250,9 +251,18 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 			return out
 		}
 		bodyStart := p.cr.n - p.br.Buffered()
-		body, bodyErr := io.ReadAll(resp.Body)
+		encoding := resp.Header.Get("Content-Encoding")
+		var body []byte
+		var size int
+		var bodyErr error
+		if contentCoding(encoding) == codingIdentity {
+			body, size, bodyErr = readRetained(resp.Body, resp.ContentLength)
+		} else {
+			// The raw fallback in decodeContent needs every encoded byte.
+			body, bodyErr = io.ReadAll(resp.Body)
+			size = len(body)
+		}
 		_ = resp.Body.Close()
-		size := len(body)
 		aliased := false
 		if bodyErr != nil && size == 0 && bodyStart < len(data) {
 			// The framing was unusable from the first body byte (e.g. a
@@ -263,7 +273,7 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 			size = len(body)
 			aliased = true
 		}
-		body = decodeContent(body, resp.Header.Get("Content-Encoding"))
+		body = decodeContent(body, encoding)
 		if len(body) > maxRetainedBody {
 			body = body[:maxRetainedBody]
 		}
@@ -282,10 +292,50 @@ func (p *streamParser) responses(data []byte, reqs []reqMsg) []respMsg {
 	}
 }
 
+// readRetained drains a response body the way io.ReadAll does — io.EOF
+// is success, any other error is returned with the bytes read before it —
+// but returns only the first maxRetainedBody bytes along with the total
+// count, counting the rest through io.Discard. The buffer is sized once
+// from contentLength when the framing declares it (net/http reports io.EOF
+// with the final bytes of a Content-Length body, so an exact-size buffer
+// never regrows) and doubles from 512 bytes otherwise; it never exceeds
+// maxRetainedBody, so the retained prefix pins no oversized backing array.
+func readRetained(r io.Reader, contentLength int64) ([]byte, int, error) {
+	c := 512
+	switch {
+	case r == http.NoBody:
+		c = 0 // HEAD and status-only responses can declare a length they do not carry
+	case contentLength >= 0:
+		c = int(min(contentLength, maxRetainedBody))
+	}
+	b := make([]byte, 0, c)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, len(b), err
+		}
+		if len(b) < cap(b) {
+			continue
+		}
+		if len(b) == maxRetainedBody {
+			rest, err := io.Copy(io.Discard, r)
+			return b, len(b) + int(rest), err
+		}
+		grown := make([]byte, len(b), min(max(2*cap(b), 512), maxRetainedBody))
+		copy(grown, b)
+		b = grown
+	}
+}
+
 // detachBody copies a degraded body out of the stream buffer. Every other
-// body path allocates fresh bytes (io.ReadAll, content decoding); this one
-// is the rare malformed-framing fallback, so the copy is cold and bounded
-// by the maxRetainedBody truncation applied before the call.
+// body path allocates fresh bytes (readRetained, io.ReadAll, content
+// decoding); this one is the rare malformed-framing fallback, so the copy
+// is cold and bounded by the maxRetainedBody truncation applied before the
+// call.
 func detachBody(body []byte) []byte {
 	if len(body) == 0 {
 		return nil
@@ -295,33 +345,52 @@ func detachBody(body []byte) []byte {
 	return out
 }
 
+// coding is a Content-Encoding the parser knows how to undo.
+type coding uint8
+
+const (
+	codingIdentity coding = iota // identity, and any coding kept raw
+	codingGzip
+	codingDeflate
+)
+
+// contentCoding classifies a Content-Encoding header value. It is the one
+// list of decodable codings: the body read and decodeContent both switch
+// on its answer.
+func contentCoding(encoding string) coding {
+	switch strings.ToLower(strings.TrimSpace(encoding)) {
+	case "gzip", "x-gzip":
+		return codingGzip
+	case "deflate":
+		return codingDeflate
+	default:
+		return codingIdentity
+	}
+}
+
 // decodeContent undoes gzip/deflate content encodings so redirect sniffing
 // sees plaintext. The reported payload size stays the on-the-wire size;
 // only the retained body is decoded. Undecodable bodies are kept raw.
 func decodeContent(body []byte, encoding string) []byte {
-	switch strings.ToLower(strings.TrimSpace(encoding)) {
-	case "gzip", "x-gzip":
-		zr, err := gzip.NewReader(bytes.NewReader(body))
+	var zr io.ReadCloser
+	switch contentCoding(encoding) {
+	case codingGzip:
+		gz, err := gzip.NewReader(bytes.NewReader(body))
 		if err != nil {
 			return body
 		}
-		defer zr.Close()
-		plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
-	case "deflate":
-		fr := flate.NewReader(bytes.NewReader(body))
-		defer fr.Close()
-		plain, err := io.ReadAll(io.LimitReader(fr, maxRetainedBody+1))
-		if err != nil && len(plain) == 0 {
-			return body
-		}
-		return plain
+		zr = gz
+	case codingDeflate:
+		zr = flate.NewReader(bytes.NewReader(body))
 	default:
 		return body
 	}
+	defer zr.Close()
+	plain, err := io.ReadAll(io.LimitReader(zr, maxRetainedBody+1))
+	if err != nil && len(plain) == 0 {
+		return body
+	}
+	return plain
 }
 
 // ExtractPair parses the two directions of one TCP conversation into
@@ -351,12 +420,10 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		resps = p.responses(s2c.Data, reqs)
 	}
 	n := len(resps)
-	out := dst
-	if rem := len(reqs) - (cap(out) - len(out)); rem > 0 {
-		grown := make([]Transaction, len(out), len(out)+len(reqs))
-		copy(grown, out)
-		out = grown
-	}
+	// Amortized growth: ExtractAll feeds one conversation at a time, so
+	// growing by exactly len(reqs) would recopy every transaction already
+	// extracted on each call.
+	out := slices.Grow(dst, len(reqs))
 	for i, rm := range reqs {
 		tx := Transaction{
 			ClientIP:    c2s.Key.SrcIP,
@@ -381,7 +448,7 @@ func ExtractPairInto(dst []Transaction, c2s, s2c *pcap.Stream) []Transaction {
 		} else {
 			tx.RespHdr = http.Header{}
 		}
-		out = append(out, tx) //dynalint:ignore hotalloc capacity for every request is ensured by the grow block above
+		out = append(out, tx) //dynalint:ignore hotalloc capacity for every request is ensured by slices.Grow above
 	}
 	parseStage.Observe(parseClock().Sub(start).Seconds())
 	parseBytes.Add(payloadBytes)

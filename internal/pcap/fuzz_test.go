@@ -47,16 +47,29 @@ func FuzzReadAllAuto(f *testing.F) {
 	_ = nw.WritePacket(Packet{Timestamp: time.Unix(100, 0), Data: []byte{1, 2, 3, 4}})
 	f.Add(ng.Bytes())
 	f.Add([]byte("not a capture at all"))
+	f.Add(hugeRecordCapture())
+	f.Add(hugeBlockCapture())
 
+	// Every accepted packet owns its bytes (cap == len, so an append never
+	// reaches a neighbour in the shared chunk), and the packets together
+	// hold no more bytes than the input did.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkts, err := ReadAllAuto(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		total := 0
 		for _, p := range pkts {
 			if len(p.Data) > defaultSnapLen {
 				t.Fatalf("packet exceeds snaplen: %d", len(p.Data))
 			}
+			if cap(p.Data) != len(p.Data) {
+				t.Fatalf("packet data cap %d != len %d", cap(p.Data), len(p.Data))
+			}
+			total += len(p.Data)
+		}
+		if total > len(data) {
+			t.Fatalf("packets hold %d bytes from a %d-byte input", total, len(data))
 		}
 	})
 }

@@ -27,10 +27,45 @@ const (
 	globalHeaderLen = 24
 	recordHeaderLen = 16
 	defaultSnapLen  = 262144
+
+	// maxRecordLen bounds a classic record's captured length: libpcap's
+	// largest snaplen. A file's own snaplen can claim up to 4 GiB, so it
+	// cannot be the only bound on what a record header makes us allocate.
+	maxRecordLen = defaultSnapLen
+	// maxBlockLen bounds a pcapng block's total length.
+	maxBlockLen = 16 << 20
+	// chunkLen is the size of the shared buffers packet bytes are carved
+	// from.
+	chunkLen = 1 << 20
 )
 
-// ErrBadMagic reports a file that does not start with a classic pcap magic.
-var ErrBadMagic = errors.New("pcap: bad magic number")
+var (
+	// ErrBadMagic reports a file that does not start with a classic pcap magic.
+	ErrBadMagic = errors.New("pcap: bad magic number")
+	// ErrRecordTooLarge reports a classic record header whose captured
+	// length exceeds maxRecordLen; it is returned before any allocation.
+	ErrRecordTooLarge = errors.New("pcap: record exceeds 262144 bytes")
+	// ErrBlockTooLarge reports a pcapng block header whose total length
+	// exceeds maxBlockLen; it is returned before any allocation.
+	ErrBlockTooLarge = errors.New("pcapng: block exceeds 16 MiB")
+)
+
+// chunks carves packet buffers from shared chunkLen-byte buffers (one
+// record's size when a record is larger), so reading a capture allocates
+// once per chunk instead of once per packet. A chunk is never reused:
+// every carved slice stays valid for as long as its Packet does. Each
+// slice's capacity equals its length, so an append to one packet's Data
+// reallocates instead of overwriting its neighbour.
+type chunks struct{ free []byte }
+
+func (c *chunks) carve(n int) []byte {
+	if n > len(c.free) {
+		c.free = make([]byte, max(n, chunkLen))
+	}
+	b := c.free[:n:n]
+	c.free = c.free[n:]
+	return b
+}
 
 // Packet is one captured frame with its capture timestamp.
 type Packet struct {
@@ -100,6 +135,7 @@ type Reader struct {
 	order    binary.ByteOrder
 	snapLen  uint32
 	linkType uint32
+	chunks   chunks
 }
 
 // NewReader validates the global header of r and returns a Reader.
@@ -141,10 +177,13 @@ func (pr *Reader) Next() (Packet, error) {
 	sec := pr.order.Uint32(hdr[0:])
 	usec := pr.order.Uint32(hdr[4:])
 	capLen := pr.order.Uint32(hdr[8:])
+	if capLen > maxRecordLen {
+		return Packet{}, fmt.Errorf("%w: record length %d", ErrRecordTooLarge, capLen)
+	}
 	if capLen > pr.snapLen {
 		return Packet{}, fmt.Errorf("pcap: record length %d exceeds snaplen %d", capLen, pr.snapLen)
 	}
-	data := make([]byte, capLen)
+	data := pr.chunks.carve(int(capLen))
 	if _, err := io.ReadFull(pr.r, data); err != nil {
 		return Packet{}, fmt.Errorf("pcap: read record body: %w", err)
 	}

@@ -31,6 +31,7 @@ type NGReader struct {
 	order binary.ByteOrder
 	// ifaces[i] describes interface i of the current section.
 	ifaces []ngInterface
+	chunks chunks
 }
 
 type ngInterface struct {
@@ -166,7 +167,17 @@ func (ng *NGReader) Next() (Packet, error) {
 		if totalLen < 12 || totalLen%4 != 0 {
 			return Packet{}, fmt.Errorf("pcapng: bad block length %d", totalLen)
 		}
-		body := make([]byte, totalLen-12)
+		if totalLen > maxBlockLen {
+			return Packet{}, fmt.Errorf("%w: block length %d", ErrBlockTooLarge, totalLen)
+		}
+		var body []byte
+		if blockType == blockEPB || blockType == blockSPB {
+			// Packet blocks are read in place: Packet.Data is carved
+			// from the block body, not copied out of it.
+			body = ng.chunks.carve(int(totalLen - 12))
+		} else {
+			body = make([]byte, totalLen-12)
+		}
 		if _, err := io.ReadFull(ng.r, body); err != nil {
 			return Packet{}, fmt.Errorf("pcapng: block body: %w", err)
 		}
@@ -224,11 +235,10 @@ func (ng *NGReader) parseEPB(body []byte) (Packet, bool, error) {
 		return Packet{}, false, nil // skip non-Ethernet interfaces
 	}
 	ticks := uint64(tsHigh)<<32 | uint64(tsLow)
-	data := make([]byte, capLen)
-	copy(data, body[20:20+capLen])
+	end := 20 + int(capLen)
 	return Packet{
 		Timestamp: time.Unix(0, int64(ticks)*int64(iface.tsUnit)).UTC(),
-		Data:      data,
+		Data:      body[20:end:end],
 	}, true, nil
 }
 
@@ -242,14 +252,11 @@ func (ng *NGReader) parseSPB(body []byte) (Packet, bool, error) {
 	if ng.ifaces[0].linkType != LinkTypeEthernet {
 		return Packet{}, false, nil
 	}
-	origLen := int(ng.order.Uint32(body[0:]))
 	data := body[4:]
-	if origLen < len(data) {
+	if origLen := ng.order.Uint32(body[0:]); uint64(origLen) < uint64(len(data)) {
 		data = data[:origLen]
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return Packet{Data: out}, true, nil
+	return Packet{Data: data[:len(data):len(data)]}, true, nil
 }
 
 // NGWriter emits a little-endian pcapng capture with one Ethernet

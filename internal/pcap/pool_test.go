@@ -165,28 +165,36 @@ func TestAssemblerReleaseReuse(t *testing.T) {
 	a.Release()
 }
 
-// TestPooledReassemblyAllocs pins the steady-state zero-alloc contract of
-// the pooled reassembly path: once the pooled assembler's arenas are warm,
-// decoding + feeding + stream carving for a whole capture (including
-// out-of-order and duplicate segments) allocates nothing.
-func TestPooledReassemblyAllocs(t *testing.T) {
+// allocProbePackets is the capture the zero-alloc reassembly tests replay:
+// retransmissions, contained duplicates, and an out-of-order tail that
+// exercises the in-place insertion sort.
+func allocProbePackets(t testing.TB) []Packet {
 	frames := retransmissionHeavyFrames()
-	// Out-of-order tail exercises the in-place insertion sort.
 	frames = append(frames, mkDataFrame(131, "tail", false), mkDataFrame(121, "0123456789", false))
-	pkts := mkPackets(t, frames)
+	return mkPackets(t, frames)
+}
 
+// TestAssemblerReassemblyAllocs pins the zero-alloc contract of the
+// Assembler's arenas in every build, the race detector's included: an
+// explicitly held Assembler, cycled with Reset, decodes, feeds and carves
+// streams for a whole capture without allocating once warm. (The pooled
+// path's counterpart, TestPooledReassemblyAllocs, needs a sync.Pool that
+// keeps what it is given, which race builds deliberately do not.)
+func TestAssemblerReassemblyAllocs(t *testing.T) {
+	pkts := allocProbePackets(t)
+	a := NewAssembler()
 	var dst []*Stream
 	run := func() {
-		streams, asm := AssembleStreamsInto(dst[:0], pkts)
+		streams := feedAll(a, pkts).StreamsInto(dst[:0])
 		dst = streams[:0]
 		if len(streams) != 1 || len(streams[0].Data) == 0 {
-			panic("pooled reassembly produced wrong streams")
+			panic("held-assembler reassembly produced wrong streams")
 		}
-		asm.Release()
+		a.Reset()
 	}
-	run() // warm the pool and arenas
+	run() // warm the arenas
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("pooled reassembly allocates %.1f times per capture in steady state, want 0", allocs)
+		t.Fatalf("held assembler allocates %.1f times per capture in steady state, want 0", allocs)
 	}
 }
 

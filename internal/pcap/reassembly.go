@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -369,7 +370,18 @@ func AssembleStreamsInto(dst []*Stream, pkts []Packet) ([]*Stream, *Assembler) {
 	return out, a
 }
 
+// feedAll feeds every decodable frame of pkts to a. The slab is grown
+// once, up front, to the capture's total frame bytes — an upper bound on
+// the payload it can hold — so a capture costs at most one slab
+// allocation instead of a doubling regrowth from an empty (pool-dropped
+// or fresh) Assembler; a warm arena already large enough allocates
+// nothing.
 func feedAll(a *Assembler, pkts []Packet) *Assembler {
+	total := 0
+	for i := range pkts {
+		total += len(pkts[i].Data)
+	}
+	a.slab = slices.Grow(a.slab, total)
 	var f Frame
 	for i := range pkts {
 		if err := DecodeFrameInto(&f, pkts[i].Data); err != nil {
